@@ -122,6 +122,42 @@ func benchCampaignTransient(opts campaign.Options, stepsOut *int) func(b *testin
 	}
 }
 
+// benchCampaignPermanent measures a permanent campaign: a strided ISA
+// sweep on the GPU (every sixth writeback opcode, as in BenchSizes),
+// every run cold from step 0 with its hook scoped to one opcode. The
+// golden set is precomputed, as in benchCampaignTransient.
+func benchCampaignPermanent(stepsOut *int) func(b *testing.B) {
+	sc := scenario.LeadSlowdown()
+	sizes := campaign.DefaultSizes()
+	sizes.PermStride = 6
+	golden := campaign.Golden(sc, sim.RoundRobin, 1, 1033)
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c := campaign.RunWithOptions(sc, sim.RoundRobin, vm.GPU, fi.Permanent, sizes, 33, golden, campaign.Options{})
+			total := 0
+			for _, r := range c.Runs {
+				total += len(r.Result.Trace.Steps)
+			}
+			*stepsOut = total
+		}
+	}
+}
+
+// benchProfile measures one shareable profiling pass (the lab's
+// ProfileSpec job): a fault-free run under the scoped fi.Profile
+// observer, which stops watching each opcode once it has seen it.
+func benchProfile(stepsOut *int) func(b *testing.B) {
+	sc := scenario.LeadSlowdown()
+	*stepsOut = len(sim.Run(sim.Config{Scenario: sc, Mode: sim.RoundRobin, Seed: 33}).Trace.Steps)
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			campaign.Profile(sc, sim.RoundRobin, 33)
+		}
+	}
+}
+
 // benchAgentFrame measures one full agent pipeline step (CPU marshal-in
 // → GPU vision/control → CPU marshal-out, ~130k dynamic instructions)
 // pinned to a VM tier. The tier-1/tier-0 ns/op ratio is the fused-kernel
@@ -512,6 +548,13 @@ func main() {
 			return r, steps
 		}
 	}
+	stepsCase := func(bench func(*int) func(*testing.B)) func() (testing.BenchmarkResult, int) {
+		return func() (testing.BenchmarkResult, int) {
+			var steps int
+			r := testing.Benchmark(bench(&steps))
+			return r, steps
+		}
+	}
 	noSteps := func(fn func(b *testing.B)) func() (testing.BenchmarkResult, int) {
 		return func() (testing.BenchmarkResult, int) { return testing.Benchmark(fn), 0 }
 	}
@@ -525,16 +568,14 @@ func main() {
 		{"sim-run/duplicate-tier0", simCase(sim.Duplicate, false, true)},
 		{"vm/agent-frame-tier1", noSteps(benchAgentFrame(1))},
 		{"vm/agent-frame-tier0", noSteps(benchAgentFrame(0))},
-		{"sim-run-from-checkpoint", func() (testing.BenchmarkResult, int) {
-			var steps int
-			r := testing.Benchmark(benchRunFromCheckpoint(&steps))
-			return r, steps
-		}},
+		{"sim-run-from-checkpoint", stepsCase(benchRunFromCheckpoint)},
 		{"campaign/transient-cold", campCase(campaign.Options{CheckpointEvery: -1})},
 		{"campaign/transient-fork", campCase(campaign.Options{DisableSplice: true, LaneWidth: -1})},
 		{"campaign/transient-splice", campCase(campaign.Options{LaneWidth: -1})},
 		{"campaign/transient-batch", campCase(campaign.Options{})},
 		{"campaign/transient-traced", campCase(campaign.Options{Propagation: true})},
+		{"campaign/permanent", stepsCase(benchCampaignPermanent)},
+		{"campaign/profile", stepsCase(benchProfile)},
 		{"campaign/sensorfault", surfCase(fi.SurfaceSensor)},
 		{"campaign/hallucinate", surfCase(fi.SurfaceHallucinate)},
 		{"render/center-camera", noSteps(benchRender)},

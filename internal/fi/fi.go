@@ -160,13 +160,46 @@ type Profile struct {
 }
 
 // Observe returns a vm.FaultHook that records the profile without
-// corrupting anything. Install it for a golden profiling run.
+// corrupting anything by watching every writeback. It is the reference
+// observer; profiling passes use Attach, which records the same profile
+// while letting the machine run its fused kernels.
 func (pr *Profile) Observe() vm.FaultHook {
 	return func(ev vm.WriteEvent) uint64 {
 		pr.InstrCount[ev.Device] = ev.DynIndex
 		pr.OpcodesSeen[ev.Device][ev.Op] = true
 		return 0
 	}
+}
+
+// Attach installs a scoped profiling observer on m. Its scope starts as
+// every writeback opcode on both devices, and it narrows each opcode out
+// after first seeing it, so OpcodesSeen is exact by construction: an
+// opcode's first execution is always offered to the hook, and a fused
+// kernel only runs once every opcode it writes has been seen. The
+// observer does not track InstrCount; call Settle when the pass ends.
+func (pr *Profile) Attach(m *vm.Machine) {
+	m.SetScopedHook(func(ev vm.WriteEvent) uint64 {
+		pr.OpcodesSeen[ev.Device][ev.Op] = true
+		m.NarrowHook(ev.Device, vm.MaskOf(ev.Op))
+		return 0
+	}, [2]vm.OpMask{vm.WritebackOps, vm.WritebackOps})
+}
+
+// Settle completes a profile recorded through Attach: InstrCount, the
+// DynIndex of each device's last writeback, comes from the machine's
+// structural record of it (vm.Machine.LastWriteback). It reports false
+// when the machine cannot fix that index — the pass ended in a trap, or
+// ran a program not ending `writeback; HALT` — and the pass must then be
+// repeated with the full observer, Observe.
+func (pr *Profile) Settle(m *vm.Machine) bool {
+	for _, d := range []vm.Device{vm.CPU, vm.GPU} {
+		dyn, ok := m.LastWriteback(d)
+		if !ok {
+			return false
+		}
+		pr.InstrCount[d] = dyn
+	}
+	return true
 }
 
 // RecordStep appends one simulation step's end-of-step cumulative

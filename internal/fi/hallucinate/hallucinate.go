@@ -163,10 +163,6 @@ func (s *surface) Restore(counters []uint64) {
 	}
 }
 
-// Release is a no-op: the output hook runs once per agent step, far
-// from the VM hot loop.
-func (s *surface) Release() {}
-
 // planner draws perception-fault campaigns (fi.SurfacePlanner).
 type planner struct{}
 

@@ -2,9 +2,9 @@
 // NVBitFI-style transient/permanent XOR injector (internal/fi's Plan +
 // Injector), repackaged as the first fi.Surface implementation. The
 // injector itself is untouched — this package only adapts its VM
-// write-hook arming, quiescence probe, and activation counters to the
-// pluggable-surface interface, so the sim runner no longer needs to
-// know about *fi.Injector at all.
+// write-hook arming (with the hook's opcode scope), quiescence probe,
+// and activation counters to the pluggable-surface interface, so the
+// sim runner no longer needs to know about *fi.Injector at all.
 package instr
 
 import (
@@ -53,7 +53,8 @@ func (s *surface) Name() string { return fi.SurfaceInstr }
 // semantics: a transient fault strikes one process; a permanent fault
 // strikes the shared processor, so it reaches every agent except in the
 // FD baseline's dedicated-replica mode, where it strikes one replica
-// (§VI-B).
+// (§VI-B). Each hook is scoped (see arm): everything else runs on the
+// VM's fast paths.
 func (s *surface) Arm(h fi.Harness) {
 	n := h.Agents()
 	shared := s.plan.P.Model == fi.Permanent && h.SharedProcessor()
@@ -62,9 +63,39 @@ func (s *surface) Arm(h fi.Harness) {
 			continue
 		}
 		inj := fi.NewInjector(s.plan.P)
-		h.Machine(i).SetFaultHook(inj.Hook)
+		arm(h.Machine(i), inj)
 		s.injectors = append(s.injectors, inj)
 		s.machines = append(s.machines, h.Machine(i))
+	}
+}
+
+// arm installs inj on m with the narrowest exact scope for the
+// machine's current state. A permanent plan watches only its opcode on
+// its target device. A transient plan watches every writeback on its
+// target until it is quiescent — fired, or past its DynIndex — and then
+// narrows to nothing, so the rest of the run is hook-free.
+func arm(m *vm.Machine, inj *fi.Injector) {
+	p := inj.Plan()
+	var scope [2]vm.OpMask
+	if p.Model == fi.Permanent {
+		scope[p.Target] = vm.MaskOf(p.Opcode)
+		m.SetScopedHook(inj.Hook, scope)
+		return
+	}
+	scope[p.Target] = vm.WritebackOps
+	m.SetScopedHook(func(ev vm.WriteEvent) uint64 {
+		mask := inj.Hook(ev)
+		narrowIfQuiescent(m, inj, ev.DynIndex)
+		return mask
+	}, scope)
+	narrowIfQuiescent(m, inj, m.InstrCount(p.Target))
+}
+
+// narrowIfQuiescent empties the hook's scope once inj can never fire
+// again at or after the target device's instruction count.
+func narrowIfQuiescent(m *vm.Machine, inj *fi.Injector, count uint64) {
+	if inj.Quiescent(count) {
+		m.NarrowHook(inj.Plan().Target, vm.WritebackOps)
 	}
 }
 
@@ -98,18 +129,15 @@ func (s *surface) Snapshot() []uint64 {
 	return out
 }
 
+// Restore re-arms every hook after restoring the counters, so each
+// scope matches the restored state: a transient injector restored as
+// fired (or behind its machine's restored counter) starts out narrowed
+// to nothing, and one restored to an earlier instant watches again.
 func (s *surface) Restore(counters []uint64) {
 	for k, inj := range s.injectors {
 		if k < len(counters) {
 			inj.Restore(counters[k])
 		}
-	}
-}
-
-// Release uninstalls the write hooks — the batched-lane fast path once
-// every injector is quiescent.
-func (s *surface) Release() {
-	for _, m := range s.machines {
-		m.SetFaultHook(nil)
+		arm(s.machines[k], inj)
 	}
 }

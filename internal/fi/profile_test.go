@@ -1,6 +1,7 @@
 package fi
 
 import (
+	"reflect"
 	"testing"
 
 	"diverseav/internal/vm"
@@ -156,5 +157,73 @@ func TestPermanentInjectorRestoreContinuesAccounting(t *testing.T) {
 	}
 	if in.Activations() != 42 {
 		t.Errorf("activations = %d, want 42", in.Activations())
+	}
+}
+
+// tailWorkload is buildWorkload with a writeback between the loop exit
+// and HALT, the `writeback; HALT` shape every agent program has.
+func tailWorkload() *vm.Program {
+	b := vm.NewBuilder("tail-workload")
+	b.FMovI(0, 0)
+	b.FMovI(1, 1.5)
+	b.IMovI(0, 0)
+	b.IMovI(1, 20)
+	top, done := b.NewLabel(), b.NewLabel()
+	b.Bind(top)
+	b.ICmpLt(2, 0, 1)
+	b.Beqz(2, done)
+	b.FMA(0, 1, 1, 0)
+	b.St(0, 0, 0)
+	b.Ld(2, 0, 0)
+	b.IAddI(0, 0, 1)
+	b.Jmp(top)
+	b.Bind(done)
+	b.FSqrt(3, 1)
+	b.Halt()
+	return b.MustBuild()
+}
+
+// TestProfileAttachMatchesObserve: the scoped observer (Attach, then
+// Settle) records the full observer's profile while narrowing each seen
+// opcode out of its scope, and reports when the machine cannot fix InstrCount — a
+// program whose HALT is a branch target, or a trapped run.
+func TestProfileAttachMatchesObserve(t *testing.T) {
+	run := func(m *vm.Machine, p *vm.Program, budget uint64) {
+		for _, d := range []vm.Device{vm.GPU, vm.CPU, vm.GPU} {
+			_ = m.Run(d, p, budget)
+		}
+	}
+	p := tailWorkload()
+	var full, scoped Profile
+	ref := vm.NewMachine(64)
+	ref.SetFaultHook(full.Observe())
+	run(ref, p, 1<<20)
+	m := vm.NewMachine(64)
+	scoped.Attach(m)
+	run(m, p, 1<<20)
+	if !scoped.Settle(m) {
+		t.Fatal("Settle failed on a clean `writeback; HALT` pass")
+	}
+	if !reflect.DeepEqual(scoped, full) {
+		t.Fatalf("scoped profile %+v, full %+v", scoped.InstrCount, full.InstrCount)
+	}
+	for _, d := range []vm.Device{vm.CPU, vm.GPU} {
+		if want := vm.WritebackOps &^ vm.MaskOf(scoped.ActiveOpcodes(d)...); m.HookScope(d) != want {
+			t.Fatalf("%s scope %x, want the unseen opcodes %x", d, m.HookScope(d), want)
+		}
+	}
+
+	for _, c := range []struct {
+		name   string
+		p      *vm.Program
+		budget uint64
+	}{{"halt-is-target", buildWorkload(), 1 << 20}, {"trapped", p, 50}} {
+		var pr Profile
+		m := vm.NewMachine(64)
+		pr.Attach(m)
+		run(m, c.p, c.budget)
+		if pr.Settle(m) {
+			t.Errorf("%s: Settle claimed an exact InstrCount", c.name)
+		}
 	}
 }

@@ -147,10 +147,6 @@ func (s *surface) Restore(counters []uint64) {
 	}
 }
 
-// Release is a no-op: the frame hook is outside the VM hot loop and the
-// window check already makes a spent fault free.
-func (s *surface) Release() {}
-
 // planner draws sensor-fault campaigns (fi.SurfacePlanner).
 type planner struct{}
 

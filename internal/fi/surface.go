@@ -80,8 +80,8 @@ type Surface interface {
 	Arm(h Harness)
 	// Quiescent reports whether the fault can never act at any step
 	// >= step. This is the terminal-decidability gate behind
-	// reconvergence splicing and quiescent-hook release: a run may only
-	// graft the golden suffix once its fault is provably spent.
+	// reconvergence splicing: a run may only graft the golden suffix
+	// once its fault is provably spent.
 	Quiescent(step int) bool
 	// Activations is how many times the fault actually acted (the
 	// paper's "#Active"). Zero means the run is golden-equivalent.
@@ -93,10 +93,6 @@ type Surface interface {
 	// a fault-free checkpoint keeps its zero counters.
 	Snapshot() []uint64
 	Restore(counters []uint64)
-	// Release uninstalls any hot-path hooks once the surface is
-	// quiescent (the batched-lane rejoin); a no-op for surfaces whose
-	// hooks live outside the VM hot loop.
-	Release()
 }
 
 // SurfacePlan is one pluggable-surface injection experiment: a pure

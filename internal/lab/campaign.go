@@ -156,12 +156,15 @@ func runCampaign(l *Lab, s CampaignSpec) *Campaign {
 	var prof *fi.Profile
 	var stream *sim.GoldenStream
 	var cps []*sim.Checkpoint
-	if s.Model == fi.Transient && every > 0 {
+	switch {
+	case s.Model == fi.Permanent:
+		// The permanent sweep covers the whole ISA and reads no profile.
+	case every > 0:
 		// Checkpoints are pooled live state, released below — this pass is
 		// private to the job and never enters the artifact store.
 		prof, stream = ProfileWithStream(sc, s.Mode, seedBase, every)
 		cps = stream.Checkpoints
-	} else {
+	default:
 		prof = l.Profile(ProfileSpec{Scenario: s.Scenario, Mode: s.Mode, Seed: seedBase})
 	}
 	planner := fi.NewPlanner(rng.New(seedBase ^ 0xfa017))

@@ -175,15 +175,21 @@ func TestRequireDAG(t *testing.T) {
 	if len(g) == 0 || &c.Golden[0] != &g[0] {
 		t.Error("campaign did not receive the shared golden artifact")
 	}
-	// A permanent campaign adds a shareable profile artifact to the DAG.
+	// A permanent campaign sweeps the ISA without a profile: it adds only
+	// itself to the DAG.
 	perm := camp
 	perm.Model = fi.Permanent
 	l.Require(perm)
-	if st := l.Stats(); st.Computed != 4 {
-		t.Errorf("Computed = %d after permanent campaign, want 4 (+profile +campaign)", st.Computed)
+	if st := l.Stats(); st.Computed != 3 {
+		t.Errorf("Computed = %d after permanent campaign, want 3 (+campaign)", st.Computed)
 	}
-	if l.Profile(ProfileSpec{Scenario: "LeadSlowdown", Mode: sim.RoundRobin, Seed: 33}) == nil {
-		t.Error("permanent campaign's profile artifact missing")
+	for _, s := range perm.deps() {
+		if _, ok := s.(ProfileSpec); ok {
+			t.Errorf("permanent campaign depends on %s", s.Key())
+		}
+	}
+	if _, ok := l.mem[ProfileSpec{Scenario: "LeadSlowdown", Mode: sim.RoundRobin, Seed: 33}.Key()]; ok {
+		t.Error("permanent campaign computed a profile artifact")
 	}
 }
 

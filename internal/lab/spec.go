@@ -267,11 +267,12 @@ func (s CampaignSpec) kind() string    { return "campaign" }
 
 func (s CampaignSpec) deps() []Spec {
 	d := []Spec{s.Golden}
-	if s.Surface == "" && (s.Model == fi.Permanent || s.CheckpointEvery < 0) {
-		// These paths plan against a plain (checkpoint-free) profiling
-		// pass, a shareable artifact. Fork-executed transient campaigns
-		// profile privately — see ProfileSpec. Non-instruction surfaces
-		// plan in step space and never need an instruction profile.
+	if s.Surface == "" && s.Model == fi.Transient && s.CheckpointEvery < 0 {
+		// Cold transient campaigns plan against a plain (checkpoint-free)
+		// profiling pass, a shareable artifact. Fork-executed transient
+		// campaigns profile privately — see ProfileSpec. Permanent
+		// campaigns sweep the ISA without reading a profile, and
+		// non-instruction surfaces plan in step space.
 		d = append(d, ProfileSpec{Scenario: s.Scenario, Mode: s.Mode, Seed: s.Seed})
 	}
 	return d

@@ -55,11 +55,11 @@ func TestDecodeSpecRejects(t *testing.T) {
 // Plan must expand the dependency closure deterministically with
 // dependencies strictly before their dependents, collapsing duplicates.
 func TestPlanClosure(t *testing.T) {
-	// Permanent campaigns depend on both a golden set and a shared
+	// Cold transient campaigns depend on both a golden set and a shared
 	// profiling pass, the deepest DAG a single spec produces.
 	camp := CampaignSpec{
-		Scenario: "LeadSlowdown", Mode: sim.RoundRobin, Target: vm.GPU, Model: fi.Permanent,
-		Sizes: shortSizes(), Seed: 33,
+		Scenario: "LeadSlowdown", Mode: sim.RoundRobin, Target: vm.GPU, Model: fi.Transient,
+		Sizes: shortSizes(), Seed: 33, CheckpointEvery: -1,
 	}
 	plan := Plan(camp)
 	if len(plan) != 3 {

@@ -134,8 +134,8 @@ func WriteSummary(w io.Writer, snap map[string]int64, wall time.Duration) {
 		if cohorts := snap["sim.lane_cohorts"]; cohorts > 0 {
 			fmt.Fprintf(w, "; cohort occupancy %.1f", float64(snap["sim.lane_cohort_lanes"])/float64(cohorts))
 		}
-		fmt.Fprintf(w, "; pack replay %d steps (%d checkpoint jumps), %d hook releases\n",
-			snap["sim.pack_steps"], snap["sim.pack_restores"], snap["sim.lane_hook_releases"])
+		fmt.Fprintf(w, "; pack replay %d steps (%d checkpoint jumps)\n",
+			snap["sim.pack_steps"], snap["sim.pack_restores"])
 	}
 	if spliced := snap["sim.runs_spliced"]; spliced > 0 || snap["sim.runs_early_exit"] > 0 {
 		fmt.Fprintf(w, "divergence: %d runs spliced (%d golden steps grafted), %d early exits",

@@ -41,8 +41,8 @@ var cohortRuns atomic.Uint64
 //     agent execution batched through vm.RunLanes (agent.StepLanes) so
 //     instruction decode is amortized over the cohort. Reconvergence
 //     splicing and early-exit verdicts compose per lane, and a lane
-//     whose fault surface goes quiescent drops its hooks (Config.
-//     laneHookRelease) to rejoin the hook-free fast path.
+//     whose injector goes quiescent narrows its hook scope to nothing
+//     (fi/instr) and rejoins the hook-free fast path at once.
 //
 // The hard invariant — pinned by the lane-equivalence matrix — is that
 // results[i].Trace is byte-identical to Run(cfgs[i]) from scratch, and
@@ -142,7 +142,6 @@ func RunLanesFrom(cp *Checkpoint, cfgs []Config, detach []int) ([]*Result, error
 	packCfg.Golden = nil
 	packCfg.DisableSplice = false
 	packCfg.EarlyExitDivergence = 0
-	packCfg.laneHookRelease = false
 	pack := newRunner(packCfg)
 	pos := 0
 	if cp != nil {
@@ -226,11 +225,9 @@ func cloneGolden(cfg *Config) *Result {
 	}
 }
 
-// runLane executes a single-lane cohort through the ordinary solo loop
-// (with quiescent-hook release enabled): restore the pack snapshot and
-// run the suffix.
+// runLane executes a single-lane cohort through the ordinary solo loop:
+// restore the pack snapshot and run the suffix.
 func runLane(cfg Config, snap *Checkpoint, start int) (*Result, error) {
-	cfg.laneHookRelease = true
 	ln := newRunner(cfg)
 	if err := ln.restore(snap); err != nil {
 		return nil, err
@@ -249,7 +246,6 @@ func runCohort(cfgs []Config, snap *Checkpoint, start int) ([]*Result, error) {
 	n := len(cfgs)
 	lanes := make([]*runner, n)
 	for i := range cfgs {
-		cfgs[i].laneHookRelease = true
 		lanes[i] = newRunner(cfgs[i])
 		if err := lanes[i].restore(snap); err != nil {
 			return nil, err
@@ -337,7 +333,7 @@ func runCohort(cfgs []Config, snap *Checkpoint, start int) ([]*Result, error) {
 			}
 		}
 		// Finish phase: actuation, trace record, collision and early-exit
-		// verdicts, then the quiescent-hook release probe.
+		// verdicts.
 		for i, ln := range lanes {
 			if res[i] != nil {
 				continue
@@ -345,9 +341,7 @@ func runCohort(cfgs []Config, snap *Checkpoint, start int) ([]*Result, error) {
 			if out := ln.stepFinish(step); out != nil {
 				res[i] = out
 				live--
-				continue
 			}
-			ln.maybeReleaseHooks(step)
 		}
 	}
 	for i, ln := range lanes {

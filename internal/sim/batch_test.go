@@ -125,8 +125,8 @@ func TestLaneEquivalenceMatrix(t *testing.T) {
 			}
 
 			// DisableSplice pins every lane to full-length execution; the
-			// traces must still match the cold runs bit for bit (this is
-			// what makes the quiescent-hook release safe to keep enabled).
+			// traces must still match the cold runs bit for bit, through
+			// every quiescent hook's narrowing to an empty scope.
 			if mode == RoundRobin {
 				nsCfgs := append([]Config(nil), cfgs...)
 				for i := range nsCfgs {

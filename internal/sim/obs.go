@@ -39,7 +39,6 @@ type simInstruments struct {
 	laneCohortN  *obs.Counter // lanes inside those cohorts (occupancy numerator)
 	packSteps    *obs.Counter // fault-free pack steps simulated for lane prefixes
 	packRestores *obs.Counter // pack jumps via golden-stream checkpoint restores
-	hookReleases *obs.Counter // lanes whose quiescent fault hooks were uninstalled
 }
 
 var (
@@ -78,7 +77,6 @@ func instruments() *simInstruments {
 			laneCohortN:  obs.C("sim.lane_cohort_lanes"),
 			packSteps:    obs.C("sim.pack_steps"),
 			packRestores: obs.C("sim.pack_restores"),
-			hookReleases: obs.C("sim.lane_hook_releases"),
 		}
 	})
 	return &simInst

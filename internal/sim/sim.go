@@ -148,14 +148,6 @@ type Config struct {
 	// nothing. The record itself IS part of the campaign artifact, so
 	// campaign specs key on this flag (unlike Golden).
 	Propagation bool
-	// laneHookRelease opts the runner into uninstalling its fault hooks at
-	// a step boundary once every injector is provably quiescent (see
-	// maybeReleaseHooks). Bit-exact by construction — a quiescent hook
-	// returns zero masks forever, and the zero-mask hooked loop is
-	// differentially pinned against the hook-free one — but only the
-	// batched-lane path (RunLanesFrom) opts in; solo Run keeps hooks
-	// installed whole-run as the reference semantics.
-	laneHookRelease bool
 }
 
 // MemFault is a single uncorrected memory bit flip (ECC-off model).
@@ -200,8 +192,8 @@ type runner struct {
 	// surface is the armed fault surface (nil on fault-free runs):
 	// Config.Fault adapted through fi/instr, or Config.Surface
 	// instantiated. All fault mechanics — quiescence for the splice
-	// gate, activation counters, checkpoint snapshot/restore, hook
-	// release — go through this interface.
+	// gate, activation counters, checkpoint snapshot/restore — go
+	// through this interface.
 	surface fi.Surface
 	// frameHooks/outputHooks are the interception points a surface
 	// registered when it armed (sensor-frame corruption and
@@ -219,8 +211,11 @@ type runner struct {
 	// start is the first step this runner simulates (0 for a cold run,
 	// the fork/detach step otherwise); set by run and by the cohort loop.
 	start int
-	// hooksReleased latches the one-shot quiescent-hook uninstall.
-	hooksReleased bool
+	// profilePending is set while the scoped profiling observer is
+	// armed and cleared by finish once Config.Profile holds the whole
+	// pass's profile; a pass that could not settle leaves it set and Run
+	// repeats the pass with the full observer.
+	profilePending bool
 
 	// Loop-carried state (checkpointed).
 	applied   physics.Controls
@@ -255,7 +250,28 @@ type runner struct {
 
 // Run executes one experiment synchronously and returns its result.
 func Run(cfg Config) *Result {
-	return newRunner(cfg).run(0)
+	r := newRunner(cfg)
+	res := r.run(0)
+	if r.profilePending {
+		// The scoped observer could not fix InstrCount (the pass ended in
+		// a trap, or an agent program lacks a `writeback; HALT` tail).
+		// Observation never changes execution, so the repeat yields the
+		// same trace and checkpoints.
+		ReleaseCheckpoints(res.Checkpoints)
+		res = runFullProfile(cfg)
+	}
+	return res
+}
+
+// runFullProfile is a profiling pass whose observer watches every
+// writeback of agent 0 (fi.Profile.Observe) instead of narrowing its
+// scope: the reference for the scoped pass, and its fallback.
+func runFullProfile(cfg Config) *Result {
+	*cfg.Profile = fi.Profile{}
+	r := newRunner(cfg)
+	r.agents[0].Machine().SetFaultHook(cfg.Profile.Observe())
+	r.profilePending = false
+	return r.run(0)
 }
 
 // harness exposes the runner's attachment points to an arming fault
@@ -310,7 +326,8 @@ func newRunner(cfg Config) *runner {
 		r.surface = cfg.Surface.New()
 		r.surface.Arm((*harness)(r))
 	case cfg.Profile != nil:
-		r.agents[0].Machine().SetFaultHook(cfg.Profile.Observe())
+		cfg.Profile.Attach(r.agents[0].Machine())
+		r.profilePending = true
 	}
 
 	noiseStd := 1.2
@@ -402,11 +419,7 @@ func (r *runner) stepOnce(step int) *Result {
 	if res := r.stepAgents(step); res != nil {
 		return res
 	}
-	if res := r.stepFinish(step); res != nil {
-		return res
-	}
-	r.maybeReleaseHooks(step)
-	return nil
+	return r.stepFinish(step)
 }
 
 // stepWorld advances NPC intent and physics, renders this step's sensor
@@ -590,35 +603,13 @@ func (r *runner) stepFinish(step int) *Result {
 	return nil
 }
 
-// maybeReleaseHooks is the batched-lane rejoin at the hook level: once
-// the runner's fault surface is provably quiescent at every step after
-// this one — an instruction-surface transient that has fired, or whose
-// dynamic index the machine counter has passed, returns zero masks
-// forever; a windowed surface whose window has closed — the surface's
-// hot-path hooks come off (Surface.Release), dropping agent execution
-// back onto the hook-free tier-1/lockstep path. Bit-exactness is
-// structural: a quiescent hook only ever returns mask 0, and the
-// zero-mask hooked loop is differentially pinned against the hook-free
-// loops. Gated on Config.laneHookRelease; called at the end of step
-// `step`, so the probe asks about steps >= step+1.
-func (r *runner) maybeReleaseHooks(step int) {
-	if !r.cfg.laneHookRelease || r.hooksReleased || r.surface == nil {
-		return
-	}
-	if !r.surface.Quiescent(step + 1) {
-		return
-	}
-	r.surface.Release()
-	r.hooksReleased = true
-	if in := instruments(); in != nil {
-		in.hookReleases.Inc()
-	}
-}
-
 // finish assembles the Result from the runner's final state and
 // publishes the run's aggregate telemetry (a no-op when disabled).
 func (r *runner) finish(start int) *Result {
 	recordInstr(r.tr, r.agents)
+	if r.profilePending && r.cfg.Profile.Settle(r.agents[0].Machine()) {
+		r.profilePending = false
+	}
 	res := &Result{
 		Trace:       r.tr,
 		Activations: surfaceActivations(r.surface),

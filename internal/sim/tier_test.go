@@ -30,9 +30,10 @@ func TestRunTierEquivalence(t *testing.T) {
 }
 
 // TestRunTierEquivalenceUnderFault covers the mixed configuration: a
-// transient fault installs a hook on one agent (forcing it onto the
-// hooked tier-0 loop) while the other agent keeps running tier-1
-// kernels. The whole run must still match the fully tier-0 execution.
+// transient fault installs a hook on one agent's GPU (forcing it onto
+// the hooked loop until the fault is spent) while that agent's CPU and
+// the other agent keep running tier-1 kernels. The whole run must still
+// match the fully tier-0 execution.
 func TestRunTierEquivalenceUnderFault(t *testing.T) {
 	sc := shortScenario()
 	plan := fi.Plan{Target: vm.GPU, Model: fi.Transient, DynIndex: 500_000, Bit: 40}

@@ -25,13 +25,16 @@ type batchState struct {
 	count [MaxLanes]uint64
 	mem   [MaxLanes][]float64
 	hook  [MaxLanes]FaultHook
+	// scope points at each lane Machine's live hook scope for the pack's
+	// device, so a hook narrowing itself mid-pack takes effect at once.
+	scope [MaxLanes]*OpMask
 	live  [MaxLanes]bool
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchState) }}
 
 // gather loads lane k's register file, dynamic-instruction counter,
-// memory and fault hook out of its Machine.
+// memory, fault hook and hook scope out of its Machine.
 func (b *batchState) gather(k int, m *Machine, d Device) {
 	ds := &m.dev[d]
 	for i := range ds.f {
@@ -43,6 +46,7 @@ func (b *batchState) gather(k int, m *Machine, d Device) {
 	b.count[k] = ds.count
 	b.mem[k] = m.mem
 	b.hook[k] = m.hook
+	b.scope[k] = &m.scope[d]
 	b.live[k] = true
 }
 
@@ -68,27 +72,30 @@ func (b *batchState) release() {
 	for k := range b.mem {
 		b.mem[k] = nil
 		b.hook[k] = nil
+		b.scope[k] = nil
 		b.live[k] = false
 	}
 	batchPool.Put(b)
 }
 
-// writeF commits a float-register writeback for lane k, applying that
-// lane's fault hook — the lockstep twin of Machine.writeF.
+// writeF commits a float-register writeback for lane k, offering it to
+// that lane's fault hook when in scope — the lockstep twin of
+// Machine.writeF.
 func (b *batchState) writeF(k int, d Device, in *Instr, v float64) {
-	if h := b.hook[k]; h != nil {
-		if mask := h(WriteEvent{Device: d, Op: in.Op, DynIndex: b.count[k], Kind: DestFloat, Index: int(in.Dst)}); mask != 0 {
+	if b.scope[k].Has(in.Op) {
+		if mask := b.hook[k](WriteEvent{Device: d, Op: in.Op, DynIndex: b.count[k], Kind: DestFloat, Index: int(in.Dst)}); mask != 0 {
 			v = math.Float64frombits(math.Float64bits(v) ^ mask)
 		}
 	}
 	b.f[in.Dst][k] = v
 }
 
-// writeI commits an int-register writeback for lane k, applying that
-// lane's fault hook — the lockstep twin of Machine.writeI.
+// writeI commits an int-register writeback for lane k, offering it to
+// that lane's fault hook when in scope — the lockstep twin of
+// Machine.writeI.
 func (b *batchState) writeI(k int, d Device, in *Instr, v int64) {
-	if h := b.hook[k]; h != nil {
-		if mask := h(WriteEvent{Device: d, Op: in.Op, DynIndex: b.count[k], Kind: DestInt, Index: int(in.Dst)}); mask != 0 {
+	if b.scope[k].Has(in.Op) {
+		if mask := b.hook[k](WriteEvent{Device: d, Op: in.Op, DynIndex: b.count[k], Kind: DestInt, Index: int(in.Dst)}); mask != 0 {
 			v ^= int64(mask)
 		}
 	}
@@ -106,9 +113,9 @@ func (b *batchState) writeI(k int, d Device, in *Instr, v int64) {
 // from the first live lane's at a conditional branch, or when it alone
 // traps (an out-of-bounds access on its corrupted address). A detached
 // lane immediately finishes this invocation solo via the scalar loops
-// (resumeLane) — tier-1 kernels included when it has no hook — and
-// rejoins lockstep at the next RunLanes call, where control provably
-// realigns at the program entry. Uniform events (HALT, invalid pc,
+// (Machine.resume) — tier-1 kernels included where its hook scope
+// allows — and rejoins lockstep at the next RunLanes call, where
+// control provably realigns at the program entry. Uniform events (HALT, invalid pc,
 // step budget, undefined opcode) end every live lane identically.
 //
 // Per-lane semantics are bit-identical to ms[k].Run(d, p, stepBudget):
@@ -389,8 +396,8 @@ func RunLanes(d Device, p *Program, stepBudget uint64, ms []*Machine) []error {
 					continue
 				}
 				v := b.f[in.B][k]
-				if h := b.hook[k]; h != nil {
-					if mask := h(WriteEvent{Device: d, Op: ST, DynIndex: b.count[k], Kind: DestMem, Index: int(addr)}); mask != 0 {
+				if b.scope[k].Has(ST) {
+					if mask := b.hook[k](WriteEvent{Device: d, Op: ST, DynIndex: b.count[k], Kind: DestMem, Index: int(addr)}); mask != 0 {
 						v = math.Float64frombits(math.Float64bits(v) ^ mask)
 					}
 				}
@@ -422,7 +429,7 @@ func RunLanes(d Device, p *Program, stepBudget uint64, ms []*Machine) []error {
 						lanePC = int(in.IImm)
 					}
 					b.detach(k, ms[k], d, steps)
-					errs[k] = ms[k].resumeLane(d, p, lanePC, steps, stepBudget)
+					errs[k] = ms[k].resume(d, p, lanePC, steps, stepBudget)
 					b.live[k] = false
 					nLive--
 				}
@@ -450,5 +457,8 @@ func RunLanes(d Device, p *Program, stepBudget uint64, ms []*Machine) []error {
 		}
 	}
 	b.release()
+	for k, m := range ms {
+		m.dev[d].noteExit(p, errs[k])
+	}
 	return errs
 }

@@ -32,30 +32,7 @@ func TestFuzzLanesVsSolo(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	budgets := []uint64{0, 1, 7, 64, 700}
 	for iter := 0; iter < 250; iter++ {
-		codeLen := 4 + rng.Intn(40)
-		code := make([]Instr, codeLen)
-		for i := range code {
-			op := Opcode(rng.Intn(NumOpcodes + 1))
-			in := Instr{
-				Op:  op,
-				Dst: uint16(rng.Intn(NumIntRegs)),
-				A:   uint16(rng.Intn(NumIntRegs)),
-				B:   uint16(rng.Intn(NumIntRegs)),
-				C:   uint16(rng.Intn(NumIntRegs)),
-				Imm: rng.NormFloat64() * 10,
-			}
-			switch op {
-			case JMP, BEQZ, BNEZ:
-				in.IImm = int64(rng.Intn(codeLen+4) - 2)
-			case LD, ST:
-				in.IImm = int64(rng.Intn(140) - 70)
-			default:
-				in.IImm = int64(rng.Intn(2000) - 1000)
-			}
-			code[i] = in
-		}
-		p := &Program{Name: "lanefuzz", Code: code}
-		fuse(p)
+		p := randomProgram(rng, "lanefuzz")
 		width := 2 + rng.Intn(MaxLanes-1)
 		d := Device(iter % 2)
 		type laneCfg struct {

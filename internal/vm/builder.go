@@ -273,7 +273,7 @@ func (b *Builder) Build() (*Program, error) {
 		}
 		b.code[p.instr].IImm = int64(t)
 	}
-	p := &Program{Name: b.name, Code: b.code}
+	p := &Program{Name: b.name, Code: b.code, haltTail: haltTail(b.code)}
 	fuse(p)
 	return p, nil
 }

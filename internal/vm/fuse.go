@@ -12,7 +12,10 @@ import "math"
 // FMOVI/IMOVI prologue runs — and compiles each match into a fusedKernel
 // that executes whole loop iterations in straight-line Go over m.mem and
 // the register files. runDirect dispatches to a kernel whenever the
-// program counter lands on a kernel entry and no fault hook is installed.
+// program counter lands on a kernel entry; the hooked loop does too
+// when none of the opcodes the kernel writes is in the fault hook's
+// scope (a hook is offered only in-scope writebacks, so a kernel that
+// writes none of them skips no hook call).
 //
 // The hard invariant: a kernel is a pure function of (registers, memory)
 // at its entry pc whose effect is bit-identical to scalar execution from
@@ -74,6 +77,11 @@ type fusedKernel struct {
 	name  string // fusion-catalog name, e.g. "score-loop"
 	entry int    // pc the kernel replaces
 	fn    kernelFn
+	// writes is the set of writeback opcodes among the claimed
+	// instructions — everything the kernel can commit. Control-flow
+	// opcodes are left out: they never reach a hook, and counting the
+	// loop latches would keep every kernel off the hooked loop.
+	writes OpMask
 }
 
 // fusionPlan is the tier-1 compilation of a Program: a pc → kernel-index
@@ -100,6 +108,9 @@ func fuse(p *Program) {
 			for i := range plan.pcMap {
 				plan.pcMap[i] = -1
 			}
+		}
+		for _, in := range code[pc : pc+claimed] {
+			k.writes |= MaskOf(in.Op) & WritebackOps
 		}
 		plan.pcMap[pc] = int32(len(plan.kernels))
 		plan.kernels = append(plan.kernels, k)

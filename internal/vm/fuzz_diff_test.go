@@ -18,36 +18,10 @@ func TestFuzzDirectVsHooked(t *testing.T) {
 	budgets := []uint64{0, 1, 7, 64, 700}
 	opSeen := make([]bool, NumOpcodes+1)
 	for iter := 0; iter < 400; iter++ {
-		codeLen := 4 + rng.Intn(40)
-		code := make([]Instr, codeLen)
-		for i := range code {
-			// NumOpcodes occasionally lands an undefined opcode, pinning
-			// the TrapBadInstr path.
-			op := Opcode(rng.Intn(NumOpcodes + 1))
-			opSeen[op] = true
-			in := Instr{
-				Op: op,
-				// NumIntRegs is the smaller file, so indices are valid
-				// for float and int registers alike.
-				Dst: uint16(rng.Intn(NumIntRegs)),
-				A:   uint16(rng.Intn(NumIntRegs)),
-				B:   uint16(rng.Intn(NumIntRegs)),
-				C:   uint16(rng.Intn(NumIntRegs)),
-				Imm: rng.NormFloat64() * 10,
-			}
-			switch op {
-			case JMP, BEQZ, BNEZ:
-				// Mostly valid targets, sometimes just outside.
-				in.IImm = int64(rng.Intn(codeLen+4) - 2)
-			case LD, ST:
-				in.IImm = int64(rng.Intn(140) - 70)
-			default:
-				in.IImm = int64(rng.Intn(2000) - 1000)
-			}
-			code[i] = in
+		p := randomProgram(rng, "fuzz")
+		for _, in := range p.Code {
+			opSeen[in.Op] = true
 		}
-		p := &Program{Name: "fuzz", Code: code}
-		fuse(p) // random code may contain fusable runs; tier 1 must still match
 		proto := protoMachine(64, int64(iter)*7+1)
 		for _, budget := range budgets {
 			diffRun(t, "fuzz", p, Device(iter%2), budget, proto)
@@ -58,6 +32,44 @@ func TestFuzzDirectVsHooked(t *testing.T) {
 			t.Errorf("fuzz never generated opcode %s", Opcode(op))
 		}
 	}
+}
+
+// randomProgram builds 4–43 instructions of raw code covering every
+// opcode (plus undefined ones), so the fuzzers see shapes the Builder
+// would never emit: wild branch targets, OOB addresses, undefined
+// opcodes. The code is fused like a built program — random code may
+// contain fusable runs, and tier 1 must still match.
+func randomProgram(rng *rand.Rand, name string) *Program {
+	codeLen := 4 + rng.Intn(40)
+	code := make([]Instr, codeLen)
+	for i := range code {
+		// NumOpcodes occasionally lands an undefined opcode, pinning
+		// the TrapBadInstr path.
+		op := Opcode(rng.Intn(NumOpcodes + 1))
+		in := Instr{
+			Op: op,
+			// NumIntRegs is the smaller file, so indices are valid
+			// for float and int registers alike.
+			Dst: uint16(rng.Intn(NumIntRegs)),
+			A:   uint16(rng.Intn(NumIntRegs)),
+			B:   uint16(rng.Intn(NumIntRegs)),
+			C:   uint16(rng.Intn(NumIntRegs)),
+			Imm: rng.NormFloat64() * 10,
+		}
+		switch op {
+		case JMP, BEQZ, BNEZ:
+			// Mostly valid targets, sometimes just outside.
+			in.IImm = int64(rng.Intn(codeLen+4) - 2)
+		case LD, ST:
+			in.IImm = int64(rng.Intn(140) - 70)
+		default:
+			in.IImm = int64(rng.Intn(2000) - 1000)
+		}
+		code[i] = in
+	}
+	p := &Program{Name: name, Code: code, haltTail: haltTail(code)}
+	fuse(p)
+	return p
 }
 
 // TestFuzzFusedTemplates throws random geometry at every fusion

@@ -128,6 +128,36 @@ func (o Opcode) Dest() DestKind {
 	}
 }
 
+// OpMask is a set of opcodes, bit i standing for Opcode(i). A fault
+// hook's scope is one OpMask per device (see Machine.SetScopedHook).
+type OpMask uint64
+
+// MaskOf returns the set holding exactly ops.
+func MaskOf(ops ...Opcode) OpMask {
+	var m OpMask
+	for _, op := range ops {
+		m |= 1 << op
+	}
+	return m
+}
+
+// Has reports whether op is in the set. Undefined opcodes shift out of
+// the word and are never members.
+func (m OpMask) Has(op Opcode) bool { return m&(1<<op) != 0 }
+
+// WritebackOps is every opcode that writes a destination (Dest() !=
+// DestNone): the opcodes a fault hook can be offered, and the widest
+// scope a hook can have.
+var WritebackOps = func() OpMask {
+	var m OpMask
+	for op := Opcode(0); op < numOpcodes; op++ {
+		if op.Dest() != DestNone {
+			m |= MaskOf(op)
+		}
+	}
+	return m
+}()
+
 // Instr is one instruction. Field use depends on the opcode; see the
 // opcode comments. Imm carries float immediates, IImm carries integer
 // immediates, memory offsets, and branch targets.
@@ -171,12 +201,48 @@ func (in Instr) String() string {
 
 // Program is an executable sequence of instructions, produced by a
 // Builder. plan is the optional tier-1 compilation (fused
-// superinstruction kernels); see fuse.go.
+// superinstruction kernels); see fuse.go. haltTail is how many
+// instructions every clean HALT executes after the run's last
+// writeback, 0 when the program's shape does not fix that number (see
+// haltTail).
 type Program struct {
-	Name  string
-	Code  []Instr
-	entry int
-	plan  *fusionPlan
+	Name     string
+	Code     []Instr
+	entry    int
+	plan     *fusionPlan
+	haltTail uint64
+}
+
+// haltTail returns 1 when every HALT of code is entered only by falling
+// through from a writeback — no branch targets the HALT, and the
+// instruction before it writes a destination — so a run that halts
+// cleanly executed its last writeback exactly one instruction before
+// the HALT. It returns 0 for any other shape, including a program with
+// no HALT. Agent programs all end `writeback; HALT`, which is what lets
+// a profiling observer stop watching writebacks early and still recover
+// the index of the last one (Machine.LastWriteback).
+func haltTail(code []Instr) uint64 {
+	target := make(map[int64]bool)
+	for _, in := range code {
+		switch in.Op {
+		case JMP, BEQZ, BNEZ:
+			target[in.IImm] = true
+		}
+	}
+	halts := 0
+	for pc, in := range code {
+		if in.Op != HALT {
+			continue
+		}
+		if pc == 0 || code[pc-1].Op.Dest() == DestNone || target[int64(pc)] {
+			return 0
+		}
+		halts++
+	}
+	if halts == 0 {
+		return 0
+	}
+	return 1
 }
 
 // Len returns the static instruction count.

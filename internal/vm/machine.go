@@ -87,6 +87,13 @@ type WriteEvent struct {
 // FaultHook inspects a writeback and returns an XOR mask to apply to the
 // raw bits of the written value (0 = no corruption). The hook is the
 // NVBitFI/PinFI analogue; see internal/fi for the injectors.
+//
+// Every hook has a scope: per device, the set of writeback opcodes it
+// can act on or needs to see (SetScopedHook). The machine offers a hook
+// only the writebacks inside its scope, and a hook may narrow its own
+// scope while the run is going (NarrowHook). The contract that makes
+// this exact: outside its scope a hook returns 0 and has no side
+// effect, so skipping the call changes nothing.
 type FaultHook func(ev WriteEvent) uint64
 
 // deviceState is the per-device register file and instruction counter.
@@ -94,6 +101,21 @@ type deviceState struct {
 	f     [NumFloatRegs]float64
 	r     [NumIntRegs]int64
 	count uint64 // cumulative dynamic instruction count
+	// lastWB is the DynIndex of the last writeback when wbKnown; both
+	// are set at every Run exit (noteExit), never inside the loops.
+	lastWB  uint64
+	wbKnown bool
+}
+
+// noteExit records what a finished run on this device fixes about its
+// last writeback: a clean HALT of a program with a known halt tail pins
+// it exactly; a trap, or a program of any other shape, leaves it
+// unknown.
+func (ds *deviceState) noteExit(p *Program, err error) {
+	ds.wbKnown = err == nil && p.haltTail > 0
+	if ds.wbKnown {
+		ds.lastWB = ds.count - p.haltTail
+	}
 }
 
 // Machine is one agent's compute fabric: a CPU-class and a GPU-class
@@ -104,6 +126,9 @@ type Machine struct {
 	mem  []float64
 	dev  [2]deviceState
 	hook FaultHook
+	// scope is the hook's per-device writeback-opcode scope, always a
+	// subset of WritebackOps; all zero when no hook is installed.
+	scope [2]OpMask
 	// tier0Only pins execution to the scalar loop even when a program
 	// has a tier-1 fusion plan; see SetMaxTier.
 	tier0Only bool
@@ -112,9 +137,9 @@ type Machine struct {
 	// dev[_].count they are not part of the architectural state, so
 	// MachineState.Restore leaves them alone and forked runs keep
 	// accumulating.
-	fusedInstr   uint64 // executed inside tier-1 fused kernels
+	fusedInstr   uint64 // executed inside tier-1 fused kernels (either loop)
 	scalarInstr  uint64 // executed by the hook-free scalar loop
-	hookedInstr  uint64 // executed by the hooked (fault-injection) loop
+	hookedInstr  uint64 // executed per instruction by the hooked loop
 	batchedInstr uint64 // executed in lockstep by RunLanes (see batch.go)
 }
 
@@ -124,8 +149,35 @@ func NewMachine(memWords int) *Machine {
 	return &Machine{mem: make([]float64, memWords)}
 }
 
-// SetFaultHook installs (or clears, with nil) the fault-injection hook.
-func (m *Machine) SetFaultHook(h FaultHook) { m.hook = h }
+// SetFaultHook installs (or clears, with nil) a fault hook that sees
+// every writeback on both devices: SetScopedHook with the full scope.
+func (m *Machine) SetFaultHook(h FaultHook) {
+	m.SetScopedHook(h, [2]OpMask{WritebackOps, WritebackOps})
+}
+
+// SetScopedHook installs (or clears, with nil) a fault hook offered only
+// the writebacks whose opcode is in scope[device]. Opcodes that write
+// nothing are dropped from the scope: they never reach a hook. A device
+// whose scope is empty runs exactly as if no hook were installed —
+// tier-1 kernels included — and inside the hooked loop a kernel
+// dispatches whenever none of the opcodes it writes is in scope.
+func (m *Machine) SetScopedHook(h FaultHook, scope [2]OpMask) {
+	m.hook = h
+	m.scope = [2]OpMask{}
+	if h != nil {
+		m.scope = [2]OpMask{scope[CPU] & WritebackOps, scope[GPU] & WritebackOps}
+	}
+}
+
+// NarrowHook drops ops from the hook's scope on device d. Hooks call it
+// from inside a run once they can no longer act on those opcodes (an
+// injector that fired, a profiler that has seen an opcode); the machine
+// takes the faster path from the next instruction on.
+func (m *Machine) NarrowHook(d Device, ops OpMask) { m.scope[d] &^= ops }
+
+// HookScope returns the hook's current scope on device d (empty when no
+// hook is installed).
+func (m *Machine) HookScope(d Device) OpMask { return m.scope[d] }
 
 // SetMaxTier caps the execution tier: 0 pins the machine to the scalar
 // per-instruction loop, ≥ 1 (the default) also allows fused
@@ -156,14 +208,32 @@ func (m *Machine) InstrCount(d Device) uint64 { return m.dev[d].count }
 // ResetCounts zeroes the dynamic instruction counters (used between
 // profiling and measured runs).
 func (m *Machine) ResetCounts() {
-	m.dev[CPU].count = 0
-	m.dev[GPU].count = 0
+	for d := range m.dev {
+		m.dev[d].count = 0
+		m.dev[d].lastWB, m.dev[d].wbKnown = 0, false
+	}
+}
+
+// LastWriteback returns the DynIndex of the last writeback executed on
+// device d, with ok reporting whether the machine's state fixes it
+// exactly: the device has never run (0), or its last run halted
+// cleanly in a program whose every HALT directly follows a writeback.
+// A trapped run, another program shape, or a Restore leaves it unknown.
+// It costs nothing per instruction, which is what lets a profiling
+// hook narrow its scope to nothing and still report the stream length.
+func (m *Machine) LastWriteback(d Device) (dyn uint64, ok bool) {
+	ds := &m.dev[d]
+	if ds.count == 0 {
+		return 0, true
+	}
+	return ds.lastWB, ds.wbKnown
 }
 
 // TierCounts returns how many dynamic instructions this machine has
-// executed on each path: inside tier-1 fused kernels, in the hook-free
-// tier-0 scalar loop, in the hooked fault-injection loop, and in the
-// multi-lane lockstep batch loop (RunLanes). The sum equals every
+// executed on each path: inside tier-1 fused kernels (dispatched from
+// either loop), in the hook-free tier-0 scalar loop, per instruction in
+// the hooked fault-injection loop, and in the multi-lane lockstep batch
+// loop (RunLanes). The sum equals every
 // instruction ever run (checkpoint restores do not reset these), which
 // is what the flight-recorder summary reports as the tier-1 kernel hit
 // rate.
@@ -181,47 +251,79 @@ func (m *Machine) Int(d Device, i int) int64 { return m.dev[d].r[i] }
 // step budget is exhausted. Register state and memory persist across
 // calls; the program counter starts at the program entry every call.
 //
-// With no fault hook installed (golden, training, and benchmark runs —
-// the vast majority of all executed instructions) Run dispatches to a
+// A device with an empty hook scope (no hook at all in golden, training,
+// and benchmark runs — the vast majority of all executed instructions —
+// or a hook that does not watch this device) dispatches to a
 // specialized loop whose writebacks commit directly to the register
 // file, skipping the per-writeback hook plumbing; see runDirect. Both
 // loops execute identical semantics.
 func (m *Machine) Run(d Device, p *Program, stepBudget uint64) error {
-	if m.hook == nil {
-		return m.runDirect(d, p, p.entry, 0, stepBudget)
-	}
-	return m.runHooked(d, p, p.entry, 0, stepBudget)
+	err := m.resume(d, p, p.entry, 0, stepBudget)
+	m.dev[d].noteExit(p, err)
+	return err
 }
 
-// resumeLane continues execution of p at an arbitrary pc with `start`
+// resume continues execution of p at an arbitrary pc with `start`
 // steps of this invocation's budget already spent — the scalar landing
-// path for a lane that detached from a RunLanes lockstep pack. The
-// hook-free variant still gets tier-1 kernels wherever the pc lands on
-// a kernel entry.
-func (m *Machine) resumeLane(d Device, p *Program, pc int, start, stepBudget uint64) error {
-	if m.hook == nil {
+// path for a lane that detached from a RunLanes lockstep pack, and the
+// body of Run. Either loop gets tier-1 kernels wherever the pc lands on
+// a kernel entry the hook scope allows.
+func (m *Machine) resume(d Device, p *Program, pc int, start, stepBudget uint64) error {
+	if m.scope[d] == 0 {
 		return m.runDirect(d, p, pc, start, stepBudget)
 	}
 	return m.runHooked(d, p, pc, start, stepBudget)
 }
 
-// runHooked is the per-writeback fault-injection loop: every commit is
-// offered to the hook before landing. pc is the starting program
+// runHooked is the per-writeback fault-injection loop: every commit
+// whose opcode is in the hook's scope is offered to the hook before
+// landing; the rest commit directly. pc is the starting program
 // counter (p.entry for Run, a resume point for detached batch lanes)
 // and start is how many of this invocation's budgeted steps were
 // already executed elsewhere (always 0 for Run).
+//
+// A kernel entry dispatches to its fused kernel when none of the
+// opcodes the kernel writes is in scope: the hook would have been
+// offered none of its writebacks. Once the scope on d is empty the
+// rest of the invocation continues on runDirect.
 func (m *Machine) runHooked(d Device, p *Program, pc int, start, stepBudget uint64) error {
 	ds := &m.dev[d]
 	code := p.Code
+	var kmap []int32
+	var kernels []fusedKernel
+	if p.plan != nil && !m.tier0Only {
+		kmap = p.plan.pcMap
+		kernels = p.plan.kernels
+	}
 	steps := start
+	var fused uint64
+	var err error
+loop:
 	for {
 		if pc < 0 || pc >= len(code) {
-			m.hookedInstr += steps - start
-			return &Trap{Kind: TrapInvalidPC, Device: d, Program: p.Name, PC: pc}
+			err = &Trap{Kind: TrapInvalidPC, Device: d, Program: p.Name, PC: pc}
+			break
 		}
 		if steps >= stepBudget {
-			m.hookedInstr += steps - start
-			return &Trap{Kind: TrapStepBudget, Device: d, Program: p.Name, PC: pc}
+			err = &Trap{Kind: TrapStepBudget, Device: d, Program: p.Name, PC: pc}
+			break
+		}
+		scope := m.scope[d]
+		if scope == 0 {
+			m.fusedInstr += fused
+			m.hookedInstr += steps - start - fused
+			return m.runDirect(d, p, pc, steps, stepBudget)
+		}
+		if kmap != nil {
+			if ki := kmap[pc]; ki >= 0 && kernels[ki].writes&scope == 0 {
+				if n, npc := kernels[ki].fn(m, ds, stepBudget-steps); n > 0 {
+					steps += n
+					fused += n
+					ds.count += n
+					pc = npc
+					continue
+				}
+			}
 		}
 		steps++
 		ds.count++
@@ -299,18 +401,18 @@ func (m *Machine) runHooked(d Device, p *Program, pc int, start, stepBudget uint
 		case LD:
 			addr := ds.r[in.A] + in.IImm
 			if addr < 0 || addr >= int64(len(m.mem)) {
-				m.hookedInstr += steps - start
-				return &Trap{Kind: TrapOOB, Device: d, Program: p.Name, PC: pc - 1}
+				err = &Trap{Kind: TrapOOB, Device: d, Program: p.Name, PC: pc - 1}
+				break loop
 			}
 			m.writeF(ds, d, in, m.mem[addr])
 		case ST:
 			addr := ds.r[in.A] + in.IImm
 			if addr < 0 || addr >= int64(len(m.mem)) {
-				m.hookedInstr += steps - start
-				return &Trap{Kind: TrapOOB, Device: d, Program: p.Name, PC: pc - 1}
+				err = &Trap{Kind: TrapOOB, Device: d, Program: p.Name, PC: pc - 1}
+				break loop
 			}
 			v := ds.f[in.B]
-			if m.hook != nil {
+			if scope.Has(ST) {
 				if mask := m.hook(WriteEvent{Device: d, Op: ST, DynIndex: ds.count, Kind: DestMem, Index: int(addr)}); mask != 0 {
 					v = math.Float64frombits(math.Float64bits(v) ^ mask)
 				}
@@ -327,16 +429,18 @@ func (m *Machine) runHooked(d Device, p *Program, pc int, start, stepBudget uint
 				pc = int(in.IImm)
 			}
 		case HALT:
-			m.hookedInstr += steps - start
-			return nil
+			break loop
 		default:
-			m.hookedInstr += steps - start
-			return &Trap{Kind: TrapBadInstr, Device: d, Program: p.Name, PC: pc - 1}
+			err = &Trap{Kind: TrapBadInstr, Device: d, Program: p.Name, PC: pc - 1}
+			break loop
 		}
 	}
+	m.fusedInstr += fused
+	m.hookedInstr += steps - start - fused
+	return err
 }
 
-// runDirect is Run for machines with no fault hook: the same fetch /
+// runDirect is Run for a device with an empty hook scope: the same fetch /
 // decode / trap semantics, with writebacks committed straight into the
 // register file. Keep the two loops in lockstep when changing the ISA
 // (TestFuzzDirectVsHooked enforces this differentially).
@@ -496,9 +600,10 @@ func (m *Machine) runDirect(d Device, p *Program, pc int, start, stepBudget uint
 	}
 }
 
-// writeF commits a float-register writeback, applying the fault hook.
+// writeF commits a float-register writeback, offering it to the fault
+// hook when the opcode is in scope.
 func (m *Machine) writeF(ds *deviceState, d Device, in *Instr, v float64) {
-	if m.hook != nil {
+	if m.scope[d].Has(in.Op) {
 		if mask := m.hook(WriteEvent{Device: d, Op: in.Op, DynIndex: ds.count, Kind: DestFloat, Index: int(in.Dst)}); mask != 0 {
 			v = math.Float64frombits(math.Float64bits(v) ^ mask)
 		}
@@ -506,9 +611,10 @@ func (m *Machine) writeF(ds *deviceState, d Device, in *Instr, v float64) {
 	ds.f[in.Dst] = v
 }
 
-// writeI commits an int-register writeback, applying the fault hook.
+// writeI commits an int-register writeback, offering it to the fault
+// hook when the opcode is in scope.
 func (m *Machine) writeI(ds *deviceState, d Device, in *Instr, v int64) {
-	if m.hook != nil {
+	if m.scope[d].Has(in.Op) {
 		if mask := m.hook(WriteEvent{Device: d, Op: in.Op, DynIndex: ds.count, Kind: DestInt, Index: int(in.Dst)}); mask != 0 {
 			v ^= int64(mask)
 		}

@@ -52,7 +52,9 @@ func (m *Machine) SnapshotInto(dst *MachineState) *MachineState {
 
 // Restore rewrites the machine's architectural state from a snapshot.
 // The snapshot is copied, never aliased, so many goroutines may restore
-// from the same MachineState concurrently.
+// from the same MachineState concurrently. The restored counters say
+// nothing about where the last writeback was, so LastWriteback becomes
+// unknown.
 func (m *Machine) Restore(st *MachineState) {
 	if len(m.mem) == len(st.Mem) {
 		copy(m.mem, st.Mem)
@@ -63,5 +65,6 @@ func (m *Machine) Restore(st *MachineState) {
 		m.dev[d].f = st.Dev[d].F
 		m.dev[d].r = st.Dev[d].R
 		m.dev[d].count = st.Dev[d].Count
+		m.dev[d].wbKnown = false
 	}
 }
