@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"diverseav/internal/fi"
+	"diverseav/internal/fi/instr"
 	"diverseav/internal/obs"
 	"diverseav/internal/scenario"
 	"diverseav/internal/sensor"
@@ -90,7 +91,7 @@ func main() {
 			plan.Model = fi.Transient
 			plan.DynIndex = *dyn
 		}
-		cfg.Fault = &plan
+		cfg.Surface = instr.Plan{P: plan}
 	}
 
 	res := sim.Run(cfg)
@@ -118,7 +119,7 @@ func main() {
 	}
 	fmt.Printf("scenario:  %s (%s mode, seed %d)\n", tr.Scenario, tr.Mode, tr.Seed)
 	fmt.Printf("outcome:   %s after %.1fs (%d steps)\n", tr.Outcome, tr.Duration(), len(tr.Steps))
-	if cfg.Fault != nil {
+	if cfg.Surface != nil {
 		fmt.Printf("fault:     %s (activations: %d)\n", tr.Fault, res.Activations)
 	}
 	if len(tr.Steps) > 0 {

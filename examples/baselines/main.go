@@ -10,6 +10,7 @@ import (
 	"diverseav/internal/campaign"
 	"diverseav/internal/core"
 	"diverseav/internal/fi"
+	"diverseav/internal/fi/instr"
 	"diverseav/internal/scenario"
 	"diverseav/internal/sim"
 	"diverseav/internal/vm"
@@ -31,7 +32,7 @@ func main() {
 			Scenario: scenario.LeadSlowdown(),
 			Mode:     mode,
 			Seed:     5,
-			Fault:    &plan,
+			Surface:  instr.Plan{P: plan},
 		})
 		tr := res.Trace
 		alarm, ok := det.Detect(tr, cmp)

@@ -10,6 +10,7 @@ import (
 	"diverseav/internal/campaign"
 	"diverseav/internal/core"
 	"diverseav/internal/fi"
+	"diverseav/internal/fi/instr"
 	"diverseav/internal/scenario"
 	"diverseav/internal/sim"
 	"diverseav/internal/vm"
@@ -29,7 +30,7 @@ func main() {
 		Scenario: scenario.GhostCutIn(),
 		Mode:     sim.RoundRobin,
 		Seed:     3,
-		Fault:    &plan,
+		Surface:  instr.Plan{P: plan},
 	})
 	tr := res.Trace
 	fmt.Printf("faulty run: outcome=%s, fault activations=%d\n", tr.Outcome, res.Activations)

@@ -97,59 +97,25 @@ func Profile(sc *scenario.Scenario, mode sim.Mode, seed uint64) *fi.Profile {
 	return l.Profile(lab.ProfileSpec{Scenario: sc.Name, Mode: mode, Seed: seed})
 }
 
-// ProfileWithCheckpoints is the checkpoint-emitting profiling pass; see
-// lab.ProfileWithCheckpoints.
-func ProfileWithCheckpoints(sc *scenario.Scenario, mode sim.Mode, seed uint64, every int) (*fi.Profile, []*sim.Checkpoint) {
-	return lab.ProfileWithCheckpoints(sc, mode, seed, every)
-}
-
 // Run executes one fault-injection campaign: plans from the profile,
 // one simulation per plan, plus golden control runs.
 func Run(sc *scenario.Scenario, mode sim.Mode, target vm.Device, model fi.Model, sizes Sizes, seedBase uint64) *Campaign {
 	return RunWithOptions(sc, mode, target, model, sizes, seedBase, nil, Options{})
 }
 
-// RunWithGolden is Run with a pre-computed golden set (campaigns of the
-// same scenario and mode share their golden controls, like the paper's
-// 50 golden runs per scenario).
-func RunWithGolden(sc *scenario.Scenario, mode sim.Mode, target vm.Device, model fi.Model, sizes Sizes, seedBase uint64, golden []*sim.Result) *Campaign {
-	return RunWithOptions(sc, mode, target, model, sizes, seedBase, golden, Options{})
-}
-
-// RunWithOptions is the full-control one-call entry point; it builds the
-// equivalent lab.CampaignSpec and executes it in a private lab. A nil
-// golden set derives the campaign's conventional private controls
-// (sizes.Golden runs at seedBase+1000); a caller-supplied set is
-// published into the lab under that same key.
+// RunWithOptions is the full-control one-call entry point for the
+// instruction surface: RunSurface with the empty surface name.
 func RunWithOptions(sc *scenario.Scenario, mode sim.Mode, target vm.Device, model fi.Model, sizes Sizes, seedBase uint64, golden []*sim.Result, opts Options) *Campaign {
-	l := lab.New()
-	l.RegisterScenario(sc)
-	spec := lab.CampaignSpec{
-		Scenario:        sc.Name,
-		Mode:            mode,
-		Target:          target,
-		Model:           model,
-		Sizes:           sizes,
-		Seed:            seedBase,
-		CheckpointEvery: opts.CheckpointEvery,
-		DisableSplice:   opts.DisableSplice,
-		EarlyExit:       opts.EarlyExit,
-		LaneWidth:       opts.LaneWidth,
-		Propagation:     opts.Propagation,
-	}
-	if golden != nil {
-		l.ProvideGolden(lab.GoldenSpec{Scenario: sc.Name, Mode: mode, N: sizes.Golden, Seed: seedBase + 1000}, golden)
-	}
-	return l.Campaign(spec)
+	return RunSurface(sc, "", mode, target, model, sizes, seedBase, golden, opts)
 }
 
-// RunSurface executes one pluggable-surface fault-injection campaign
-// (surface must name a registered fi.SurfacePlanner: "sensorfault",
-// "hallucinate"; the empty string and "instr" select the legacy
-// instruction path, identical to RunWithOptions). Like RunWithOptions
-// it builds the equivalent lab.CampaignSpec and executes it in a
-// private lab; a nil golden set derives the campaign's conventional
-// private controls.
+// RunSurface executes one fault-injection campaign through a registered
+// fi.SurfacePlanner ("sensorfault", "hallucinate"; the empty string and
+// "instr" select the instruction surface). It builds the equivalent
+// lab.CampaignSpec and executes it in a private lab. A nil golden set
+// derives the campaign's conventional private controls (sizes.Golden
+// runs at seedBase+1000); a caller-supplied set is published into the
+// lab under that same key.
 func RunSurface(sc *scenario.Scenario, surface string, mode sim.Mode, target vm.Device, model fi.Model, sizes Sizes, seedBase uint64, golden []*sim.Result, opts Options) *Campaign {
 	l := lab.New()
 	l.RegisterScenario(sc)

@@ -170,8 +170,10 @@ func (planner) Name() string { return fi.SurfaceHallucinate }
 
 // Plans: the Transient model draws n random hallucination windows over
 // random agents; the Permanent model sweeps every kind over every agent
-// instance from step 0 for the whole scenario, n times.
-func (planner) Plans(r *rng.Rand, _ *fi.Profile, _ vm.Device, model fi.Model, steps, agents, n int) []fi.SurfacePlan {
+// instance from step 0 for the whole scenario, n times, thinned to
+// every stride-th plan.
+func (planner) Plans(seed uint64, _ *fi.Profile, _ vm.Device, model fi.Model, steps, agents, n, stride int) []fi.SurfacePlan {
+	r, _ := fi.CampaignStreams(seed)
 	plans := []fi.SurfacePlan{}
 	if n <= 0 || steps <= 0 || agents <= 0 {
 		return plans
@@ -187,7 +189,7 @@ func (planner) Plans(r *rng.Rand, _ *fi.Profile, _ vm.Device, model fi.Model, st
 				}
 			}
 		}
-		return plans
+		return fi.Stride(plans, stride)
 	}
 	for i := 0; i < n; i++ {
 		dur := 40 + r.Intn(80)

@@ -3,8 +3,9 @@
 // Injector), repackaged as the first fi.Surface implementation. The
 // injector itself is untouched — this package only adapts its VM
 // write-hook arming (with the hook's opcode scope), quiescence probe,
-// and activation counters to the pluggable-surface interface, so the
-// sim runner no longer needs to know about *fi.Injector at all.
+// and activation counters to the pluggable-surface interface, and
+// registers the surface's campaign planner, so neither the sim runner
+// nor the campaign pipeline needs to know about *fi.Injector at all.
 package instr
 
 import (
@@ -13,18 +14,12 @@ import (
 )
 
 // Plan wraps one fi.Plan as a fi.SurfacePlan. Agent is the index of the
-// process a transient fault strikes (fi.Plan carries no agent; the sim
-// Config carried it as FaultAgent).
+// process a transient fault strikes (fi.Plan carries no agent), taken
+// modulo the run's agent count.
 type Plan struct {
 	P     fi.Plan
 	Agent int
 }
-
-// FromFault adapts a legacy (fi.Plan, FaultAgent) pair to a surface
-// plan. This is the compatibility shim the runner uses for
-// Config.Fault, which keeps the pre-refactor API — and every trace and
-// campaign artifact it produced — byte-identical.
-func FromFault(p fi.Plan, agent int) Plan { return Plan{P: p, Agent: agent} }
 
 func (p Plan) Surface() string { return fi.SurfaceInstr }
 
@@ -141,3 +136,30 @@ func (s *surface) Restore(counters []uint64) {
 		arm(s.machines[k], inj)
 	}
 }
+
+// planner draws instruction-surface campaigns (fi.SurfacePlanner)
+// through fi.Planner: transient plans uniform over the profiled dynamic
+// instruction stream, permanent plans one per destination opcode per
+// repetition. Each plan carries its agent pick, drawn in plan order
+// from the campaign's agent stream.
+type planner struct{}
+
+func (planner) Name() string { return fi.SurfaceInstr }
+
+func (planner) Plans(seed uint64, prof *fi.Profile, target vm.Device, model fi.Model, _, _, n, stride int) []fi.SurfacePlan {
+	planStream, agentStream := fi.CampaignStreams(seed)
+	p := fi.NewPlanner(planStream)
+	var faults []fi.Plan
+	if model == fi.Transient {
+		faults = p.TransientPlans(target, prof, n)
+	} else {
+		faults = fi.Stride(p.PermanentPlans(target, n), stride)
+	}
+	plans := make([]fi.SurfacePlan, len(faults))
+	for i, f := range faults {
+		plans[i] = Plan{P: f, Agent: agentStream.Intn(2)}
+	}
+	return plans
+}
+
+func init() { fi.RegisterSurface(planner{}) }

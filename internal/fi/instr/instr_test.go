@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"diverseav/internal/fi"
+	"diverseav/internal/rng"
 	"diverseav/internal/vm"
 )
 
@@ -185,5 +186,48 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		if m.HookScope(vm.CPU) != vm.MaskOf(vm.IADDI) {
 			t.Fatalf("agent %d: permanent scope %x after restore", i, m.HookScope(vm.CPU))
 		}
+	}
+}
+
+// TestPlannerStreams pins the registered planner to the campaign's two
+// streams: its plans are exactly fi.NewPlanner's over the seed^0xfa017
+// stream (permanent sweeps thinned by the stride), and plan i strikes
+// the agent of the i-th Intn(2) draw of the seed^0xa6e27 stream.
+func TestPlannerStreams(t *testing.T) {
+	sp, ok := fi.SurfaceByName(fi.SurfaceInstr)
+	if !ok {
+		t.Fatal("instr surface planner not registered")
+	}
+	const seed = 0x5eed
+	var prof fi.Profile
+	prof.InstrCount[vm.GPU] = 1 << 20
+	cases := []struct {
+		name   string
+		model  fi.Model
+		n      int
+		stride int
+		want   func(*fi.Planner) []fi.Plan
+	}{
+		{"transient", fi.Transient, 7, 3, func(p *fi.Planner) []fi.Plan { return p.TransientPlans(vm.GPU, &prof, 7) }},
+		{"permanent", fi.Permanent, 2, 5, func(p *fi.Planner) []fi.Plan { return fi.Stride(p.PermanentPlans(vm.GPU, 2), 5) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := sp.Plans(seed, &prof, vm.GPU, tc.model, 1200, 2, tc.n, tc.stride)
+			want := tc.want(fi.NewPlanner(rng.New(seed ^ 0xfa017)))
+			agents := rng.New(seed ^ 0xa6e27)
+			if len(got) != len(want) || len(got) == 0 {
+				t.Fatalf("%d plans, want %d (nonzero)", len(got), len(want))
+			}
+			for i, p := range got {
+				ip, ok := p.(Plan)
+				if !ok {
+					t.Fatalf("plan %d is %T, want instr.Plan", i, p)
+				}
+				if w := (Plan{P: want[i], Agent: agents.Intn(2)}); ip != w {
+					t.Errorf("plan %d = %+v, want %+v", i, ip, w)
+				}
+			}
+		})
 	}
 }

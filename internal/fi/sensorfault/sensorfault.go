@@ -154,8 +154,10 @@ func (planner) Name() string { return fi.SurfaceSensor }
 
 // Plans: the Transient model draws n random corruption windows; the
 // Permanent model sweeps every kind over every camera from step 0 for
-// the whole scenario, n times (the analogue of the per-opcode sweep).
-func (planner) Plans(r *rng.Rand, _ *fi.Profile, _ vm.Device, model fi.Model, steps, _, n int) []fi.SurfacePlan {
+// the whole scenario, n times (the analogue of the per-opcode sweep),
+// thinned to every stride-th plan.
+func (planner) Plans(seed uint64, _ *fi.Profile, _ vm.Device, model fi.Model, steps, _, n, stride int) []fi.SurfacePlan {
+	r, _ := fi.CampaignStreams(seed)
 	plans := []fi.SurfacePlan{}
 	if n <= 0 || steps <= 0 {
 		return plans
@@ -172,7 +174,7 @@ func (planner) Plans(r *rng.Rand, _ *fi.Profile, _ vm.Device, model fi.Model, st
 				}
 			}
 		}
-		return plans
+		return fi.Stride(plans, stride)
 	}
 	for i := 0; i < n; i++ {
 		dur := 20 + r.Intn(60)

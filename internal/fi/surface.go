@@ -139,16 +139,41 @@ func PlanWindow(p SurfacePlan) []int {
 }
 
 // SurfacePlanner generates a campaign's worth of plans for one surface,
-// seeded deterministically (the analogue of Planner for non-instruction
-// surfaces).
+// seeded deterministically. Every surface a campaign can name registers
+// one, the instruction surface (fi/instr) included.
 type SurfacePlanner interface {
 	Name() string
-	// Plans draws the campaign's plan list. prof and target matter only
-	// to surfaces that plan against the instruction stream; steps is
-	// the scenario length in simulation steps and agents the mode's
-	// agent count. For the Transient model n is the number of plans;
-	// for Permanent it is the repetition count of the surface's sweep.
-	Plans(r *rng.Rand, prof *Profile, target vm.Device, model Model, steps, agents, n int) []SurfacePlan
+	// Plans draws the campaign's plan list from the campaign seed
+	// (through CampaignStreams). prof is the fault-free instruction
+	// profile, set only for instruction-surface transient campaigns (the
+	// only plans drawn against the instruction stream); target is the
+	// injected device, steps the scenario length in simulation steps
+	// and agents the mode's agent count. For the Transient model n is
+	// the number of plans; for Permanent it is the repetition count of
+	// the surface's sweep, thinned to every stride-th plan (Stride).
+	Plans(seed uint64, prof *Profile, target vm.Device, model Model, steps, agents, n, stride int) []SurfacePlan
+}
+
+// CampaignStreams derives a campaign's two random streams from its
+// seed: plans draws the plan list, agents the per-plan agent picks of
+// the instruction surface (a transient fault strikes one process).
+func CampaignStreams(seed uint64) (plans, agents *rng.Rand) {
+	return rng.New(seed ^ 0xfa017), rng.New(seed ^ 0xa6e27)
+}
+
+// Stride keeps every stride-th plan of a permanent sweep (all of them
+// for stride <= 1): the reduced sweeps of the fast configurations.
+func Stride[T any](plans []T, stride int) []T {
+	if stride <= 1 {
+		return plans
+	}
+	kept := plans[:0]
+	for i, p := range plans {
+		if i%stride == 0 {
+			kept = append(kept, p)
+		}
+	}
+	return kept
 }
 
 var (
@@ -164,8 +189,8 @@ func RegisterSurface(p SurfacePlanner) {
 	surfaceMu.Lock()
 	defer surfaceMu.Unlock()
 	name := p.Name()
-	if name == "" || name == SurfaceInstr {
-		panic("fi: RegisterSurface: reserved surface name " + name)
+	if name == "" {
+		panic("fi: RegisterSurface: empty surface name")
 	}
 	if _, dup := surfaceReg[name]; dup {
 		panic("fi: RegisterSurface: duplicate surface " + name)
@@ -173,10 +198,7 @@ func RegisterSurface(p SurfacePlanner) {
 	surfaceReg[name] = p
 }
 
-// SurfaceByName returns the registered planner for a surface name. The
-// built-in "instr" surface has no SurfacePlanner — its campaigns plan
-// through Planner against the instruction profile — so it reports
-// false here while KnownSurface accepts it.
+// SurfaceByName returns the registered planner for a surface name.
 func SurfaceByName(name string) (SurfacePlanner, bool) {
 	surfaceMu.RLock()
 	defer surfaceMu.RUnlock()
@@ -184,28 +206,15 @@ func SurfaceByName(name string) (SurfacePlanner, bool) {
 	return p, ok
 }
 
-// SurfaceNames lists every known surface name, sorted: the registered
-// planners plus the built-in instruction surface. This is the valid
+// SurfaceNames lists every registered surface name, sorted: the valid
 // set behind the drivers' -surface flags.
 func SurfaceNames() []string {
 	surfaceMu.RLock()
 	defer surfaceMu.RUnlock()
-	names := make([]string, 0, len(surfaceReg)+1)
-	names = append(names, SurfaceInstr)
+	names := make([]string, 0, len(surfaceReg))
 	for n := range surfaceReg {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
-}
-
-// KnownSurface reports whether name selects a surface: the empty string
-// (the legacy default, an alias for the instruction surface), "instr",
-// or any registered planner.
-func KnownSurface(name string) bool {
-	if name == "" || name == SurfaceInstr {
-		return true
-	}
-	_, ok := SurfaceByName(name)
-	return ok
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"diverseav/internal/fi"
+	"diverseav/internal/fi/instr"
 
 	// The shipped fault surfaces register their planners on import;
 	// anything that runs campaigns through the lab can name them.
@@ -15,8 +16,6 @@ import (
 	"diverseav/internal/geom"
 	"diverseav/internal/obs"
 	"diverseav/internal/par"
-	"diverseav/internal/rng"
-	"diverseav/internal/scenario"
 	"diverseav/internal/sim"
 	"diverseav/internal/trace"
 	"diverseav/internal/vm"
@@ -90,29 +89,6 @@ type Campaign struct {
 	Baseline []geom.Vec2
 }
 
-// ProfileWithStream is the checkpoint-emitting profiling pass: one
-// fault-free run that records the instruction profile AND snapshots the
-// loop state every `every` steps, returned together with the run's full
-// trace as a sim.GoldenStream. The profile observer never corrupts
-// anything, so the checkpoints are exactly those of a plain golden run
-// at the same seed — valid fork points for any injection run that
-// replays the seed and whose fault activates after the checkpoint, and
-// (through the stream's digests) valid reconvergence splice points for
-// any fork whose fault is spent and whose state has returned to the
-// golden bits.
-func ProfileWithStream(sc *scenario.Scenario, mode sim.Mode, seed uint64, every int) (*fi.Profile, *sim.GoldenStream) {
-	var prof fi.Profile
-	res := sim.Run(sim.Config{Scenario: sc, Mode: mode, Seed: seed, Profile: &prof, CheckpointEvery: every})
-	return &prof, &sim.GoldenStream{Checkpoints: res.Checkpoints, Trace: res.Trace}
-}
-
-// ProfileWithCheckpoints is ProfileWithStream without the golden trace,
-// kept for callers that only fork and never splice.
-func ProfileWithCheckpoints(sc *scenario.Scenario, mode sim.Mode, seed uint64, every int) (*fi.Profile, []*sim.Checkpoint) {
-	prof, stream := ProfileWithStream(sc, mode, seed, every)
-	return prof, stream.Checkpoints
-}
-
 // DefaultCheckpointEvery is the golden-pass checkpoint interval (steps)
 // used by transient fork execution. At 40 Hz this snapshots every 1.25 s
 // of simulated time: ~24 checkpoints on the 30 s test scenarios, cheap
@@ -120,69 +96,70 @@ func ProfileWithCheckpoints(sc *scenario.Scenario, mode sim.Mode, seed uint64, e
 const DefaultCheckpointEvery = 50
 
 // runCampaign executes a campaign spec (the job body behind
-// Lab.Campaign).
+// Lab.Campaign). Every surface runs through the same pipeline: its
+// registered fi.SurfacePlanner draws the plans, each plan runs as one
+// simulation, and the golden controls come from the Golden dependency.
 //
 // Transient campaigns follow NVBitFI's replay semantics: every injection
-// run replays the profiling run's seed, differing only in the injected
-// fault. All transient runs of a campaign therefore share one fault-free
-// prefix up to each plan's activation step, and (unless the spec
-// disables it) execute by forking from the latest profiling-pass
-// checkpoint at or before that step instead of re-simulating the prefix.
-// Symmetrically, every fork tracks the profiling pass's golden stream:
-// once its fault has washed out bit-exactly, it splices the golden
-// suffix instead of simulating it. The fork-equivalence and
-// splice-equivalence invariants (see internal/sim) guarantee
-// bit-identical traces, so CheckpointEvery and DisableSplice only change
-// wall-clock, never results — which is why both are excluded from the
-// spec key.
+// run replays the campaign seed, differing only in the injected fault.
+// All transient runs of a campaign therefore share one fault-free prefix
+// up to each plan's detach step, and (unless the spec disables it)
+// execute by forking from the latest checkpoint of one checkpointed
+// golden pass at or before that step instead of re-simulating the
+// prefix, batched into lockstep lane groups. Symmetrically, every fork
+// tracks the golden pass's stream: once its fault has washed out
+// bit-exactly, it splices the golden suffix instead of simulating it.
+// The fork-, splice- and lane-equivalence invariants (see internal/sim)
+// guarantee bit-identical traces, so CheckpointEvery, DisableSplice and
+// LaneWidth only change wall-clock, never results — which is why they
+// are excluded from the spec key.
 //
 // Permanent campaigns keep the cold path with per-run seeds: a permanent
-// fault corrupts from the first instruction, so no prefix is fault-free,
+// fault corrupts from the first step, so no prefix is fault-free,
 // nothing is shareable, and the fault is never quiescent.
 func runCampaign(l *Lab, s CampaignSpec) *Campaign {
-	if s.Surface != "" {
-		// Pluggable-surface campaigns plan in step space and fork from a
-		// plain checkpointed golden pass; the instruction path below
-		// (profile + dynamic-index planner) stays exactly as it was.
-		return runSurfaceCampaign(l, s)
+	surface := s.surfaceName()
+	sp, ok := fi.SurfaceByName(surface)
+	if !ok {
+		panic(fmt.Sprintf("lab: campaign surface %q is not registered", surface))
 	}
 	sc := l.scenarioByName(s.Scenario)
-	seedBase := s.Seed
 	every := s.CheckpointEvery
 	if every == 0 {
 		every = DefaultCheckpointEvery
 	}
+	fork := s.Model == fi.Transient && every > 0
 
+	// Only instruction-surface transient plans read a profile: they draw
+	// dynamic instruction indices from the profiled stream. A forked
+	// campaign records it on its own checkpointed golden pass (the
+	// profile observer never corrupts anything, so the checkpoints are
+	// exactly those of a plain golden run); a cold one shares the
+	// ProfileSpec artifact. The checkpoints are pooled live state,
+	// released below — the pass is private to the job and never enters
+	// the artifact store.
 	var prof *fi.Profile
 	var stream *sim.GoldenStream
 	var cps []*sim.Checkpoint
 	switch {
-	case s.Model == fi.Permanent:
-		// The permanent sweep covers the whole ISA and reads no profile.
-	case every > 0:
-		// Checkpoints are pooled live state, released below — this pass is
-		// private to the job and never enters the artifact store.
-		prof, stream = ProfileWithStream(sc, s.Mode, seedBase, every)
-		cps = stream.Checkpoints
-	default:
-		prof = l.Profile(ProfileSpec{Scenario: s.Scenario, Mode: s.Mode, Seed: seedBase})
-	}
-	planner := fi.NewPlanner(rng.New(seedBase ^ 0xfa017))
-	var plans []fi.Plan
-	if s.Model == fi.Transient {
-		plans = planner.TransientPlans(s.Target, prof, s.Sizes.Transient)
-	} else {
-		plans = planner.PermanentPlans(s.Target, s.Sizes.PermReps)
-		if s.Sizes.PermStride > 1 {
-			strided := plans[:0]
-			for i, p := range plans {
-				if i%s.Sizes.PermStride == 0 {
-					strided = append(strided, p)
-				}
-			}
-			plans = strided
+	case fork:
+		cfg := sim.Config{Scenario: sc, Mode: s.Mode, Seed: s.Seed, CheckpointEvery: every}
+		if s.profiled() {
+			prof = new(fi.Profile)
+			cfg.Profile = prof
 		}
+		res := sim.Run(cfg)
+		stream = &sim.GoldenStream{Checkpoints: res.Checkpoints, Trace: res.Trace}
+		cps = res.Checkpoints
+	case s.profiled():
+		prof = l.Profile(ProfileSpec{Scenario: s.Scenario, Mode: s.Mode, Seed: s.Seed})
 	}
+	n := s.Sizes.Transient
+	if s.Model == fi.Permanent {
+		n = s.Sizes.PermReps
+	}
+	nAgents := s.Mode.Agents()
+	plans := sp.Plans(s.Seed, prof, s.Target, s.Model, int(sc.Duration*sim.Hz), nAgents, n, s.Sizes.PermStride)
 	golden := l.Golden(s.Golden)
 
 	c := &Campaign{
@@ -190,15 +167,29 @@ func runCampaign(l *Lab, s CampaignSpec) *Campaign {
 		Mode:         s.Mode,
 		Target:       s.Target,
 		Model:        s.Model,
+		Surface:      s.Surface,
 		Golden:       golden,
 		Runs:         make([]RunRecord, len(plans)),
 	}
-	agentPick := rng.New(seedBase ^ 0xa6e27)
-	faultAgents := make([]int, len(plans))
-	for i := range faultAgents {
-		faultAgents[i] = agentPick.Intn(2)
+	// detach[i] is the step at or before which plan i's fault can first
+	// act: the fork point and the lane-grouping key.
+	detach := make([]int, len(plans))
+	if fork {
+		for i, p := range plans {
+			detach[i] = detachStep(p, prof, nAgents)
+		}
 	}
-	nAgents := s.Mode.Agents()
+	base := sim.Config{Scenario: sc, Mode: s.Mode}
+	if s.Model == fi.Transient {
+		// Replay seed: the injection run IS the golden pass plus one
+		// fault, which is what makes its prefix forkable and its suffix
+		// spliceable.
+		base.Seed = s.Seed
+		base.Golden = stream
+		base.DisableSplice = s.DisableSplice
+		base.EarlyExitDivergence = s.EarlyExit
+		base.Propagation = s.Propagation
+	}
 	ledger := l.Ledger()
 	specKey := ""
 	if ledger != nil {
@@ -215,210 +206,83 @@ func runCampaign(l *Lab, s CampaignSpec) *Campaign {
 			ExecNs:         execNs,
 			SimulatedSteps: []int{res.Exec.SimulatedFrom, res.Exec.SimulatedTo},
 			ExitReason:     res.Exec.ExitReason,
-			Surface:        obs.SurfaceInstr,
+			Surface:        surface,
 		})
 	}
 	runSolo := func(i int) {
-		plan := plans[i]
-		cfg := sim.Config{
-			Scenario:   sc,
-			Mode:       s.Mode,
-			Fault:      &plan,
-			FaultAgent: faultAgents[i],
+		cfg := base
+		cfg.Surface = plans[i]
+		if s.Model == fi.Permanent {
+			cfg.Seed = s.Seed + 5000 + uint64(i)*104729
 		}
 		var began time.Time
 		if ledger != nil {
 			began = time.Now()
 		}
 		var res *sim.Result
-		if s.Model == fi.Transient {
-			// Replay seed: the injection run IS the profiling run plus one
-			// fault, which is what makes its prefix forkable and its suffix
-			// spliceable.
-			cfg.Seed = seedBase
-			cfg.Golden = stream
-			cfg.DisableSplice = s.DisableSplice
-			cfg.EarlyExitDivergence = s.EarlyExit
-			cfg.Propagation = s.Propagation
-			if cp := forkPoint(cps, prof, faultAgents[i]%nAgents, plan); cp != nil {
-				if forked, err := sim.RunFrom(cp, cfg); err == nil {
-					obs.C("campaign.runs_forked").Inc()
-					res = forked
-				}
+		if cp := forkPoint(cps, detach[i]); cp != nil {
+			if forked, err := sim.RunFrom(cp, cfg); err == nil {
+				obs.C("campaign.runs_forked").Inc()
+				res = forked
 			}
-		} else {
-			cfg.Seed = seedBase + 5000 + uint64(i)*104729
 		}
 		if res == nil {
 			obs.C("campaign.runs_cold").Inc()
 			res = sim.Run(cfg)
 		}
-		c.Runs[i] = RunRecord{Plan: plan, Result: res}
+		c.Runs[i] = record(plans[i], res)
 		if ledger != nil {
 			emitRunSpan(i, res, time.Since(began).Nanoseconds())
 		}
 	}
-	laneW := s.LaneWidth
+	laneW := min(s.LaneWidth, vm.MaxLanes)
 	if laneW == 0 {
 		laneW = DefaultLaneWidth
 	}
-	if laneW > vm.MaxLanes {
-		laneW = vm.MaxLanes
-	}
-	if s.Model == fi.Transient && every > 0 && laneW > 1 {
-		runLaneGroups(c, s, sc, plans, faultAgents, prof, stream, seedBase, laneW, runSolo, emitRunSpan, ledger != nil)
+	if fork && laneW > 1 {
+		runLaneGroups(c, plans, detach, base, laneW, runSolo, emitRunSpan, ledger != nil)
 	} else {
 		par.ForEach(len(plans), runSolo)
 	}
 	// Past the fork barrier every injection run has restored from its
 	// checkpoint; recycle the snapshot buffers for the next campaign's
-	// profiling pass.
+	// golden pass.
 	sim.ReleaseCheckpoints(cps)
 
 	c.Baseline = baselineOf(golden)
 	if ledger != nil {
-		emitPropagation(ledger, specKey, obs.SurfaceInstr, c, nil)
+		emitPropagation(ledger, specKey, surface, c, plans)
 	}
 	return c
 }
 
-// runSurfaceCampaign executes a pluggable-surface campaign spec: the
-// same NVBitFI-style structure as the instruction path — transient runs
-// replay the golden seed and fork/splice against a checkpointed golden
-// pass, permanent runs go cold with per-run seeds — but plans come from
-// the surface's own step-space planner (fi.SurfacePlanner) instead of
-// the instruction profile, and fork/detach points are the plans' Start
-// steps directly. No profiling pass is needed at all.
-func runSurfaceCampaign(l *Lab, s CampaignSpec) *Campaign {
-	sp, ok := fi.SurfaceByName(s.Surface)
+// detachStep is the step at or before which a plan's fault can first
+// act. An instruction plan maps its dynamic index through the profile's
+// per-step instruction counts; the machine counters bound the writeback
+// DynIndex stream from above, so the mapped step is never later than the
+// true activation step (detaching conservatively early is always safe).
+// A dynamic index past the agent's profiled stream never activates:
+// -1. A step-space plan detaches at its Start (step 0 when it has no
+// decidable start, which runs it cold).
+func detachStep(p fi.SurfacePlan, prof *fi.Profile, nAgents int) int {
+	ip, ok := p.(instr.Plan)
 	if !ok {
-		panic(fmt.Sprintf("lab: campaign surface %q is not registered", s.Surface))
+		return max(p.Start(), 0)
 	}
-	sc := l.scenarioByName(s.Scenario)
-	seedBase := s.Seed
-	every := s.CheckpointEvery
-	if every == 0 {
-		every = DefaultCheckpointEvery
+	step, ok := prof.ActivationStep(ip.Agent%nAgents, ip.P.Target, ip.P.DynIndex)
+	if !ok {
+		return -1
 	}
-	steps := int(sc.Duration * sim.Hz)
+	return step
+}
 
-	n := s.Sizes.Transient
-	if s.Model == fi.Permanent {
-		n = s.Sizes.PermReps
+// record is plan's run record: instruction plans keep their fi.Plan,
+// every other surface's plan travels as its String form.
+func record(p fi.SurfacePlan, res *sim.Result) RunRecord {
+	if ip, ok := p.(instr.Plan); ok {
+		return RunRecord{Plan: ip.P, Result: res}
 	}
-	plans := sp.Plans(rng.New(seedBase^0xfa017), nil, s.Target, s.Model, steps, s.Mode.Agents(), n)
-	if s.Model == fi.Permanent && s.Sizes.PermStride > 1 {
-		strided := plans[:0]
-		for i, p := range plans {
-			if i%s.Sizes.PermStride == 0 {
-				strided = append(strided, p)
-			}
-		}
-		plans = strided
-	}
-
-	var stream *sim.GoldenStream
-	var cps []*sim.Checkpoint
-	if s.Model == fi.Transient && every > 0 {
-		res := sim.Run(sim.Config{Scenario: sc, Mode: s.Mode, Seed: seedBase, CheckpointEvery: every})
-		stream = &sim.GoldenStream{Checkpoints: res.Checkpoints, Trace: res.Trace}
-		cps = res.Checkpoints
-	}
-	golden := l.Golden(s.Golden)
-
-	c := &Campaign{
-		ScenarioName: sc.Name,
-		Mode:         s.Mode,
-		Target:       s.Target,
-		Model:        s.Model,
-		Surface:      s.Surface,
-		Golden:       golden,
-		Runs:         make([]RunRecord, len(plans)),
-	}
-	ledger := l.Ledger()
-	specKey := ""
-	if ledger != nil {
-		specKey = s.Key()
-	}
-	emitRunSpan := func(i int, res *sim.Result, execNs int64) {
-		ledger.EmitSpan(obs.Span{
-			Key:            fmt.Sprintf("%s/run-%03d", specKey, i),
-			Phase:          "run",
-			Cache:          obs.CacheComputed,
-			ExecNs:         execNs,
-			SimulatedSteps: []int{res.Exec.SimulatedFrom, res.Exec.SimulatedTo},
-			ExitReason:     res.Exec.ExitReason,
-			Surface:        s.Surface,
-		})
-	}
-	runSolo := func(i int) {
-		plan := plans[i]
-		cfg := sim.Config{
-			Scenario: sc,
-			Mode:     s.Mode,
-			Surface:  plan,
-		}
-		var began time.Time
-		if ledger != nil {
-			began = time.Now()
-		}
-		var res *sim.Result
-		if s.Model == fi.Transient {
-			cfg.Seed = seedBase
-			cfg.Golden = stream
-			cfg.DisableSplice = s.DisableSplice
-			cfg.EarlyExitDivergence = s.EarlyExit
-			cfg.Propagation = s.Propagation
-			// Fork from the latest golden checkpoint at or before the
-			// plan's start step (windowed surface plans are
-			// step-decidable, so Start is the exact first step the fault
-			// can act).
-			var best *sim.Checkpoint
-			for _, cp := range cps {
-				if cp.Step > plan.Start() {
-					break
-				}
-				best = cp
-			}
-			if best != nil {
-				if forked, err := sim.RunFrom(best, cfg); err == nil {
-					obs.C("campaign.runs_forked").Inc()
-					res = forked
-				}
-			}
-		} else {
-			cfg.Seed = seedBase + 5000 + uint64(i)*104729
-		}
-		if res == nil {
-			obs.C("campaign.runs_cold").Inc()
-			res = sim.Run(cfg)
-		}
-		c.Runs[i] = RunRecord{Desc: plan.String(), Result: res}
-		if ledger != nil {
-			emitRunSpan(i, res, time.Since(began).Nanoseconds())
-		}
-	}
-	laneW := s.LaneWidth
-	if laneW == 0 {
-		laneW = DefaultLaneWidth
-	}
-	if laneW > vm.MaxLanes {
-		laneW = vm.MaxLanes
-	}
-	if s.Model == fi.Transient && every > 0 && laneW > 1 {
-		runSurfaceLaneGroups(c, s, sc, plans, stream, seedBase, laneW, runSolo, emitRunSpan, ledger != nil)
-	} else {
-		par.ForEach(len(plans), runSolo)
-	}
-	sim.ReleaseCheckpoints(cps)
-
-	c.Baseline = baselineOf(golden)
-	if ledger != nil {
-		emitPropagation(ledger, specKey, s.Surface, c, func(i int) []int {
-			return fi.PlanWindow(plans[i])
-		})
-	}
-	return c
+	return RunRecord{Desc: p.String(), Result: res}
 }
 
 // emitPropagation streams every traced run's first-divergence record
@@ -430,10 +294,10 @@ func runSurfaceCampaign(l *Lab, s CampaignSpec) *Campaign {
 // fault never propagated to a checkpoint boundary — including every
 // zero-activation run — carry no record at all; that absence is itself
 // the masked-before-first-checkpoint signal ledger analytics count.
-// window, when non-nil, maps a run index to its plan's [start, end)
-// activation window (fi.PlanWindow; nil for the instruction surface,
-// whose reach is a dynamic instruction index).
-func emitPropagation(ledger *obs.Ledger, specKey, surface string, c *Campaign, window func(i int) []int) {
+// Each record carries its plan's [start, end) activation window
+// (fi.PlanWindow; nil for the instruction surface, whose reach is a
+// dynamic instruction index).
+func emitPropagation(ledger *obs.Ledger, specKey, surface string, c *Campaign, plans []fi.SurfacePlan) {
 	for i := range c.Runs {
 		r := &c.Runs[i]
 		p := r.Result.Propagation
@@ -454,15 +318,13 @@ func emitPropagation(ledger *obs.Ledger, specKey, surface string, c *Campaign, w
 			MinCVIP:        p.MinCVIP,
 			MinTTC:         p.MinTTC,
 			Samples:        p.Samples,
+			Window:         fi.PlanWindow(plans[i]),
 		}
 		if len(p.Subsystems) > 0 {
 			rec.Subsystems = make(map[string]int, len(p.Subsystems))
 			for _, h := range p.Subsystems {
 				rec.Subsystems[h.Subsystem] = h.Step
 			}
-		}
-		if window != nil {
-			rec.Window = window(i)
 		}
 		if p.ActivationStep >= 0 {
 			rec.LatencySteps = p.Step - p.ActivationStep
@@ -479,63 +341,6 @@ func emitPropagation(ledger *obs.Ledger, specKey, surface string, c *Campaign, w
 	}
 }
 
-// runSurfaceLaneGroups is the batched scheduler for pluggable-surface
-// transient campaigns: the detach step of each lane is its plan's Start
-// step — an exact bound, unlike the instruction path's conservative
-// profile mapping — so lanes starting together share one prefix replay
-// and lockstep their suffixes. Falls back to the solo fork path when a
-// group fails validation (pure strategy; identical results either way).
-func runSurfaceLaneGroups(c *Campaign, s CampaignSpec, sc *scenario.Scenario, plans []fi.SurfacePlan,
-	stream *sim.GoldenStream, seedBase uint64, laneW int,
-	runSolo func(int), emitRunSpan func(int, *sim.Result, int64), ledger bool) {
-
-	order := make([]int, len(plans))
-	for i := range plans {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return plans[order[a]].Start() < plans[order[b]].Start() })
-	nGroups := (len(order) + laneW - 1) / laneW
-	par.ForEach(nGroups, func(g int) {
-		lo := g * laneW
-		hi := lo + laneW
-		if hi > len(order) {
-			hi = len(order)
-		}
-		idxs := order[lo:hi]
-		cfgs := make([]sim.Config, len(idxs))
-		det := make([]int, len(idxs))
-		for k, i := range idxs {
-			cfgs[k] = sim.Config{
-				Scenario:            sc,
-				Mode:                s.Mode,
-				Seed:                seedBase,
-				Surface:             plans[i],
-				Golden:              stream,
-				DisableSplice:       s.DisableSplice,
-				EarlyExitDivergence: s.EarlyExit,
-				Propagation:         s.Propagation,
-			}
-			det[k] = plans[i].Start()
-		}
-		began := time.Now()
-		results, err := sim.RunLanesFrom(nil, cfgs, det)
-		if err != nil {
-			for _, i := range idxs {
-				runSolo(i)
-			}
-			return
-		}
-		obs.C("campaign.runs_batched").Add(uint64(len(idxs)))
-		perRunNs := time.Since(began).Nanoseconds() / int64(len(idxs))
-		for k, i := range idxs {
-			c.Runs[i] = RunRecord{Desc: plans[i].String(), Result: results[k]}
-			if ledger {
-				emitRunSpan(i, results[k], perRunNs)
-			}
-		}
-	})
-}
-
 // DefaultLaneWidth is the lane-group size of batched transient campaign
 // execution: up to this many injection runs share one fault-free prefix
 // replay and step their suffixes in sim-level lockstep. Bounded by
@@ -543,56 +348,31 @@ func runSurfaceLaneGroups(c *Campaign, s CampaignSpec, sc *scenario.Scenario, pl
 // cache while the decode amortization is already near its asymptote.
 const DefaultLaneWidth = 16
 
-// runLaneGroups is the batched transient scheduler: plans are mapped to
-// their planner-derived detach steps (-1 for a plan whose dynamic index
-// the profiled stream never reaches), sorted so runs detaching together
-// land in the same group, chunked into lane-width groups, and each group
-// executed through sim.RunLanesFrom. A group that fails validation falls
-// back to the solo fork path run by run — the results are identical
-// either way (the lane-equivalence invariant), so the fallback is pure
-// strategy too.
-func runLaneGroups(c *Campaign, s CampaignSpec, sc *scenario.Scenario, plans []fi.Plan, faultAgents []int,
-	prof *fi.Profile, stream *sim.GoldenStream, seedBase uint64, laneW int,
+// runLaneGroups is the batched transient scheduler: plans are sorted by
+// detach step (never-activating golden clones first — they cost one
+// trace copy each), so runs detaching together land in the same group
+// as cohorts and near ones share most of the pack replay; the order is
+// chunked into lane-width groups, and each group executes through
+// sim.RunLanesFrom on copies of base carrying the lanes' plans. A group
+// that fails validation falls back to the solo fork path run by run —
+// the results are identical either way (the lane-equivalence
+// invariant), so the fallback is pure strategy too.
+func runLaneGroups(c *Campaign, plans []fi.SurfacePlan, detach []int, base sim.Config, laneW int,
 	runSolo func(int), emitRunSpan func(int, *sim.Result, int64), ledger bool) {
 
-	nAgents := s.Mode.Agents()
-	detach := make([]int, len(plans))
 	order := make([]int, len(plans))
-	for i, plan := range plans {
-		step, ok := prof.ActivationStep(faultAgents[i]%nAgents, plan.Target, plan.DynIndex)
-		if !ok {
-			step = -1
-		}
-		detach[i] = step
+	for i := range order {
 		order[i] = i
 	}
-	// Sort by detach step (never-activating clones first — they cost one
-	// trace copy each): equal steps become cohorts inside a group, and
-	// near ones share most of the pack replay.
 	sort.SliceStable(order, func(a, b int) bool { return detach[order[a]] < detach[order[b]] })
 	nGroups := (len(order) + laneW - 1) / laneW
 	par.ForEach(nGroups, func(g int) {
-		lo := g * laneW
-		hi := lo + laneW
-		if hi > len(order) {
-			hi = len(order)
-		}
-		idxs := order[lo:hi]
+		idxs := order[g*laneW : min((g+1)*laneW, len(order))]
 		cfgs := make([]sim.Config, len(idxs))
 		det := make([]int, len(idxs))
 		for k, i := range idxs {
-			plan := plans[i]
-			cfgs[k] = sim.Config{
-				Scenario:            sc,
-				Mode:                s.Mode,
-				Seed:                seedBase,
-				Fault:               &plan,
-				FaultAgent:          faultAgents[i],
-				Golden:              stream,
-				DisableSplice:       s.DisableSplice,
-				EarlyExitDivergence: s.EarlyExit,
-				Propagation:         s.Propagation,
-			}
+			cfgs[k] = base
+			cfgs[k].Surface = plans[i]
 			det[k] = detach[i]
 		}
 		began := time.Now()
@@ -609,7 +389,7 @@ func runLaneGroups(c *Campaign, s CampaignSpec, sc *scenario.Scenario, plans []f
 		// ExecNs sums honest.
 		perRunNs := time.Since(began).Nanoseconds() / int64(len(idxs))
 		for k, i := range idxs {
-			c.Runs[i] = RunRecord{Plan: plans[i], Result: results[k]}
+			c.Runs[i] = record(plans[i], results[k])
 			if ledger {
 				emitRunSpan(i, results[k], perRunNs)
 			}
@@ -628,24 +408,19 @@ func baselineOf(golden []*sim.Result) []geom.Vec2 {
 }
 
 // forkPoint picks the latest checkpoint whose step is at or before the
-// plan's activation step — the longest shareable fault-free prefix. The
-// activation step comes from the profile's per-step instruction counts;
-// the machine counters bound the writeback DynIndex stream from above,
-// so the mapped step is never later than the true activation step
-// (forking conservatively early is always safe). A plan whose DynIndex
-// exceeds the agent's profiled stream never activates, so its run is
-// golden-equivalent and any checkpoint works: use the latest.
-func forkPoint(cps []*sim.Checkpoint, prof *fi.Profile, agent int, plan fi.Plan) *sim.Checkpoint {
+// plan's detach step — the longest shareable fault-free prefix. A plan
+// that never activates (detach < 0) is golden-equivalent, so any
+// checkpoint works: use the latest.
+func forkPoint(cps []*sim.Checkpoint, detach int) *sim.Checkpoint {
 	if len(cps) == 0 {
 		return nil
 	}
-	step, ok := prof.ActivationStep(agent, plan.Target, plan.DynIndex)
-	if !ok {
+	if detach < 0 {
 		return cps[len(cps)-1]
 	}
 	var best *sim.Checkpoint
 	for _, cp := range cps {
-		if cp.Step > step {
+		if cp.Step > detach {
 			break
 		}
 		best = cp

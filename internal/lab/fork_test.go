@@ -4,12 +4,15 @@ import (
 	"testing"
 
 	"diverseav/internal/fi"
+	"diverseav/internal/fi/instr"
+	"diverseav/internal/fi/sensorfault"
 	"diverseav/internal/sim"
 	"diverseav/internal/vm"
 )
 
 // TestForkPointSelection pins the bucketing rule: latest checkpoint at
-// or before the activation step; latest checkpoint overall for plans
+// or before the detach step (an instruction plan's profiled activation
+// step, a step-space plan's start); latest checkpoint overall for plans
 // that never activate.
 func TestForkPointSelection(t *testing.T) {
 	var prof fi.Profile
@@ -30,7 +33,8 @@ func TestForkPointSelection(t *testing.T) {
 		{5000, 9}, // beyond the stream: never activates, use the latest
 	}
 	for _, tc := range cases {
-		cp := forkPoint(cps, &prof, 0, fi.Plan{Target: vm.CPU, Model: fi.Transient, DynIndex: tc.dyn})
+		plan := instr.Plan{P: fi.Plan{Target: vm.CPU, Model: fi.Transient, DynIndex: tc.dyn}}
+		cp := forkPoint(cps, detachStep(plan, &prof, 1))
 		got := -1
 		if cp != nil {
 			got = cp.Step
@@ -39,7 +43,11 @@ func TestForkPointSelection(t *testing.T) {
 			t.Errorf("forkPoint(dyn=%d) = step %d, want %d", tc.dyn, got, tc.want)
 		}
 	}
-	if cp := forkPoint(nil, &prof, 0, fi.Plan{Target: vm.CPU, DynIndex: 350}); cp != nil {
+	if cp := forkPoint(nil, 3); cp != nil {
 		t.Error("forkPoint with no checkpoints returned one")
+	}
+	window := sensorfault.Plan{Step: 7, Duration: 5}
+	if cp := forkPoint(cps, detachStep(window, nil, 1)); cp == nil || cp.Step != 6 {
+		t.Errorf("forkPoint(step-space start 7) = %v, want the step-6 checkpoint", cp)
 	}
 }

@@ -265,9 +265,24 @@ func (s CampaignSpec) Key() string {
 func (s CampaignSpec) normalize() Spec { return s.norm() }
 func (s CampaignSpec) kind() string    { return "campaign" }
 
+// surfaceName is the registered surface the campaign injects through:
+// the empty Surface is the instruction surface.
+func (s CampaignSpec) surfaceName() string {
+	if s.Surface == "" {
+		return fi.SurfaceInstr
+	}
+	return s.Surface
+}
+
+// profiled reports whether the campaign plans against an instruction
+// profile: only instruction-surface transient plans do.
+func (s CampaignSpec) profiled() bool {
+	return s.surfaceName() == fi.SurfaceInstr && s.Model == fi.Transient
+}
+
 func (s CampaignSpec) deps() []Spec {
 	d := []Spec{s.Golden}
-	if s.Surface == "" && s.Model == fi.Transient && s.CheckpointEvery < 0 {
+	if s.profiled() && s.CheckpointEvery < 0 {
 		// Cold transient campaigns plan against a plain (checkpoint-free)
 		// profiling pass, a shareable artifact. Fork-executed transient
 		// campaigns profile privately — see ProfileSpec. Permanent

@@ -3,6 +3,8 @@ package lab
 import (
 	"encoding/json"
 	"fmt"
+
+	"diverseav/internal/fi"
 )
 
 // Spec wire codec and DAG export for out-of-process execution
@@ -47,6 +49,8 @@ func EncodeSpec(s Spec) ([]byte, error) {
 
 // DecodeSpec parses a JSON wire envelope back into the Spec it names.
 // The decoded spec round-trips exactly: same normalized value, same Key.
+// A campaign naming no registered fault surface is rejected here, at
+// the trust boundary, rather than when a worker runs it.
 func DecodeSpec(data []byte) (Spec, error) {
 	var env specEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
@@ -66,6 +70,9 @@ func DecodeSpec(data []byte) (Spec, error) {
 	case "campaign":
 		if env.Campaign == nil {
 			return nil, fmt.Errorf("lab: spec envelope kind %q without payload", env.Kind)
+		}
+		if _, ok := fi.SurfaceByName(env.Campaign.surfaceName()); !ok {
+			return nil, fmt.Errorf("lab: campaign surface %q is not registered", env.Campaign.Surface)
 		}
 		return *env.Campaign, nil
 	case "detector":

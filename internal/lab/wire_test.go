@@ -45,6 +45,7 @@ func TestDecodeSpecRejects(t *testing.T) {
 		"not json",
 		`{"kind":"teleporter"}`,
 		`{"kind":"campaign"}`, // kind without payload
+		`{"kind":"campaign","campaign":{"Scenario":"LeadSlowdown","Surface":"nosuch"}}`, // unregistered surface
 	} {
 		if _, err := DecodeSpec([]byte(bad)); err == nil {
 			t.Errorf("DecodeSpec(%q) accepted garbage", bad)

@@ -6,6 +6,7 @@ import (
 
 	"diverseav/internal/campaign"
 	"diverseav/internal/core"
+	"diverseav/internal/fi/memfault"
 	"diverseav/internal/scenario"
 	"diverseav/internal/sim"
 	"diverseav/internal/stats"
@@ -75,13 +76,13 @@ func AblationECCOff(o Options) string {
 	}
 	masked, perturbed, due := 0, 0, 0
 	for i := 0; i < n; i++ {
-		mf := &sim.MemFault{
+		mf := memfault.Plan{
 			Agent: i % 2,
 			Step:  100 + i*37,
 			Addr:  (i * 2654435761) % 24576,
 			Bit:   uint((i * 13) % 63),
 		}
-		res := sim.Run(sim.Config{Scenario: sc, Mode: sim.RoundRobin, Seed: o.Seed, MemFault: mf})
+		res := sim.Run(sim.Config{Scenario: sc, Mode: sim.RoundRobin, Seed: o.Seed, Surface: mf})
 		switch {
 		case res.Trace.DUE():
 			due++

@@ -7,6 +7,7 @@ import (
 	"diverseav/internal/campaign"
 	"diverseav/internal/fabric"
 	"diverseav/internal/fi"
+	"diverseav/internal/fi/instr"
 	"diverseav/internal/kitti"
 	"diverseav/internal/scenario"
 	"diverseav/internal/sensor"
@@ -80,7 +81,7 @@ func Fig2(o Options) string {
 	single := sim.Run(sim.Config{Scenario: sc, Mode: sim.Single, Seed: o.Seed})
 	dual := sim.Run(sim.Config{Scenario: sc, Mode: sim.RoundRobin, Seed: o.Seed})
 	fault := fi.Plan{Target: vm.GPU, Model: fi.Permanent, Opcode: vm.FMUL, Bit: 52}
-	faulty := sim.Run(sim.Config{Scenario: sc, Mode: sim.RoundRobin, Seed: o.Seed, Fault: &fault})
+	faulty := sim.Run(sim.Config{Scenario: sc, Mode: sim.RoundRobin, Seed: o.Seed, Surface: instr.Plan{P: fault}})
 
 	var b strings.Builder
 	b.WriteString("Fig 2(3) — fault-free lead slowdown: throttle and CVIP, single vs DiverseAV\n")

@@ -7,6 +7,7 @@ import (
 
 	"diverseav/internal/agent"
 	"diverseav/internal/fi"
+	"diverseav/internal/fi/instr"
 	"diverseav/internal/trace"
 	"diverseav/internal/vm"
 )
@@ -20,13 +21,13 @@ var cohortRuns atomic.Uint64
 // lanes sharing one fault-free prefix. Each lane i is the run Config
 // cfgs[i] would produce cold; detach[i] is a step at or before the
 // lane's fault can first act, or -1 for a lane whose fault provably
-// never activates in this run. For instruction-surface lanes (Config.
-// Fault) the planner maps the plan's dynamic instruction index through
-// the golden profile — a conservative-early bound, since the machine's
-// writeback counter is bounded by its architectural counter. For
-// pluggable-surface lanes (Config.Surface) the plan's Start() step is
-// the bound directly; plans without a decidable start (Start() < 0)
-// are rejected and must run solo.
+// never activates in this run. For instruction-surface lanes (fi/instr
+// plans, transient only) the planner maps the plan's dynamic
+// instruction index through the golden profile — a conservative-early
+// bound, since the machine's writeback counter is bounded by its
+// architectural counter. For step-space plans the plan's Start() step
+// is the bound directly; step-space plans without a decidable start
+// (Start() < 0) are rejected and must run solo.
 //
 // Execution strategy, with the per-step work shared across lanes:
 //
@@ -62,28 +63,25 @@ func RunLanesFrom(cp *Checkpoint, cfgs []Config, detach []int) ([]*Result, error
 	base := &cfgs[0]
 	for i := range cfgs {
 		c := &cfgs[i]
+		ip, isInstr := c.Surface.(instr.Plan)
 		switch {
-		case c.Fault != nil && c.Surface != nil:
-			return nil, fmt.Errorf("sim: RunLanesFrom: lane %d sets both Fault and Surface", i)
-		case c.Fault == nil && c.Surface == nil:
+		case c.Surface == nil:
 			return nil, fmt.Errorf("sim: RunLanesFrom: lane %d is not an injection run", i)
-		case c.Fault != nil && c.Fault.Model != fi.Transient:
+		case isInstr && ip.P.Model != fi.Transient:
 			return nil, fmt.Errorf("sim: RunLanesFrom: lane %d is not a transient injection run", i)
-		case c.Surface != nil && c.Surface.Start() < 0:
-			// A surface whose first possible activation step is unknown
-			// has no provable detach bound; such plans must run solo
-			// (the instruction surface instead comes in through Fault,
-			// with the profile-derived detach the planner computed).
+		case !isInstr && c.Surface.Start() < 0:
+			// A step-space plan whose first possible activation step is
+			// unknown has no provable detach bound; it must run solo.
 			return nil, fmt.Errorf("sim: RunLanesFrom: lane %d surface plan has no decidable start step", i)
-		case c.Surface != nil && detach[i] < 0:
+		case !isInstr && detach[i] < 0:
 			// The never-activating proof (clone the golden trace) is
 			// only established for instruction-surface plans, via the
 			// machine's bounded writeback counter.
 			return nil, fmt.Errorf("sim: RunLanesFrom: lane %d surface lane cannot be golden-cloned", i)
-		case c.Surface != nil && detach[i] > c.Surface.Start():
+		case !isInstr && detach[i] > c.Surface.Start():
 			return nil, fmt.Errorf("sim: RunLanesFrom: lane %d detaches at step %d after surface start %d", i, detach[i], c.Surface.Start())
-		case c.Profile != nil || c.StepHook != nil || c.MemFault != nil:
-			return nil, fmt.Errorf("sim: RunLanesFrom: lane %d carries a profile, step hook, or memory fault", i)
+		case c.Profile != nil || c.StepHook != nil:
+			return nil, fmt.Errorf("sim: RunLanesFrom: lane %d carries a profile or step hook", i)
 		case c.CheckpointEvery > 0:
 			return nil, fmt.Errorf("sim: RunLanesFrom: lane %d emits checkpoints", i)
 		case c.ForceVMTier0:
@@ -136,9 +134,7 @@ func RunLanesFrom(cp *Checkpoint, cfgs []Config, detach []int) ([]*Result, error
 	// possible writeback, so the pack's state at that step IS the lane's
 	// state (fork-equivalence), and one replay serves the whole group.
 	packCfg := *base
-	packCfg.Fault = nil
 	packCfg.Surface = nil
-	packCfg.FaultAgent = 0
 	packCfg.Golden = nil
 	packCfg.DisableSplice = false
 	packCfg.EarlyExitDivergence = 0
@@ -215,7 +211,7 @@ func RunLanesFrom(cp *Checkpoint, cfgs []Config, detach []int) ([]*Result, error
 func cloneGolden(cfg *Config) *Result {
 	g := cfg.Golden.Trace
 	tr := g.Snapshot()
-	tr.Fault = cfg.Fault.String()
+	tr.Fault = cfg.Surface.String()
 	return &Result{
 		Trace: tr,
 		Exec: ExecInfo{

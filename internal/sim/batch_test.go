@@ -5,13 +5,15 @@ import (
 	"testing"
 
 	"diverseav/internal/fi"
+	"diverseav/internal/fi/instr"
 	"diverseav/internal/scenario"
 	"diverseav/internal/vm"
 )
 
 // profileStream runs the checkpoint-emitting profiling pass the way the
-// campaign executor does (lab.ProfileWithStream): one fault-free run
-// recording the instruction profile and the golden checkpoint stream.
+// campaign executor does for instruction transient campaigns: one
+// fault-free run recording the instruction profile and the golden
+// checkpoint stream.
 func profileStream(sc *scenario.Scenario, mode Mode, seed uint64, every int) (*fi.Profile, *GoldenStream) {
 	var prof fi.Profile
 	res := Run(Config{Scenario: sc, Mode: mode, Seed: seed, Profile: &prof, CheckpointEvery: every})
@@ -88,10 +90,9 @@ func TestLaneEquivalenceMatrix(t *testing.T) {
 			coldHash := make([]string, len(lanes))
 			coldAct := make([]uint64, len(lanes))
 			for i, lp := range lanes {
-				plan := lp.plan
 				cfgs[i] = Config{
 					Scenario: sc, Mode: mode, Seed: seed,
-					Fault: &plan, FaultAgent: lp.agent, Golden: stream,
+					Surface: instr.Plan{P: lp.plan, Agent: lp.agent}, Golden: stream,
 				}
 				detach[i] = lp.detach
 				coldCfg := cfgs[i]
@@ -165,11 +166,10 @@ func TestLaneEarlyExitEquivalence(t *testing.T) {
 	cfgs := make([]Config, len(lanes))
 	detach := make([]int, len(lanes))
 	for i, lp := range lanes {
-		plan := lp.plan
 		cfgs[i] = Config{
 			Scenario: sc, Mode: mode, Seed: seed,
-			Fault: &plan, FaultAgent: lp.agent,
-			Golden: stream, EarlyExitDivergence: 0.05,
+			Surface: instr.Plan{P: lp.plan, Agent: lp.agent},
+			Golden:  stream, EarlyExitDivergence: 0.05,
 		}
 		detach[i] = lp.detach
 	}
@@ -198,7 +198,7 @@ func TestRunLanesFromValidation(t *testing.T) {
 	sc := shortScenario()
 	plan := fi.Plan{Target: vm.GPU, Model: fi.Transient, DynIndex: 1, Bit: 1}
 	perm := fi.Plan{Target: vm.GPU, Model: fi.Permanent, Opcode: vm.FADD, Bit: 1}
-	ok := Config{Scenario: sc, Mode: RoundRobin, Seed: 1, Fault: &plan}
+	ok := Config{Scenario: sc, Mode: RoundRobin, Seed: 1, Surface: instr.Plan{P: plan}}
 	cases := []struct {
 		name   string
 		cfgs   []Config
@@ -208,7 +208,7 @@ func TestRunLanesFromValidation(t *testing.T) {
 		{"empty", nil, nil, "0 configs"},
 		{"length-mismatch", []Config{ok}, []int{1, 2}, "detach steps"},
 		{"no-fault", []Config{{Scenario: sc}}, []int{0}, "not an injection run"},
-		{"permanent", []Config{{Scenario: sc, Fault: &perm}}, []int{0}, "not a transient"},
+		{"permanent", []Config{{Scenario: sc, Surface: instr.Plan{P: perm}}}, []int{0}, "not a transient"},
 		{"checkpointing-lane", []Config{func() Config { c := ok; c.CheckpointEvery = 10; return c }()}, []int{0}, "emits checkpoints"},
 		{"identity", []Config{ok, func() Config { c := ok; c.Seed = 2; return c }()}, []int{0, 0}, "run identity"},
 		{"clone-without-golden", []Config{ok}, []int{-1}, "no golden trace"},

@@ -192,17 +192,13 @@ func RunFrom(cp *Checkpoint, cfg Config) (*Result, error) {
 		// A profile must observe the whole instruction stream; a fork
 		// skips the prefix, so its profile would be silently partial.
 		return nil, fmt.Errorf("sim: RunFrom: profiling requires a cold run")
-	case cfg.MemFault != nil && cfg.MemFault.Step < cp.Step:
-		return nil, fmt.Errorf("sim: RunFrom: memory fault at step %d precedes checkpoint step %d", cfg.MemFault.Step, cp.Step)
-	case cfg.Fault != nil && cfg.Surface != nil:
-		return nil, fmt.Errorf("sim: RunFrom: Fault and Surface are mutually exclusive")
 	case cfg.Surface != nil && cfg.Surface.Start() >= 0 && cfg.Surface.Start() < cp.Step:
 		// A surface fault whose window opens before the checkpoint would
 		// have acted during the skipped prefix: the fork would silently
 		// miss those activations. Step-decidable surfaces are validated
 		// here; the instruction surface (Start() < 0) stays the caller's
-		// responsibility, exactly as cfg.Fault always was (the campaign
-		// layer picks fork points from the activation-step profile).
+		// responsibility (the campaign layer picks fork points from the
+		// activation-step profile).
 		return nil, fmt.Errorf("sim: RunFrom: surface fault starts at step %d before checkpoint step %d", cfg.Surface.Start(), cp.Step)
 	}
 	r := newRunner(cfg)

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"diverseav/internal/fi"
+	"diverseav/internal/fi/instr"
+	"diverseav/internal/fi/memfault"
 	"diverseav/internal/trace"
 	"diverseav/internal/vm"
 )
@@ -19,6 +21,15 @@ func hashTrace(t *testing.T, tr *trace.Trace) string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
+}
+
+// instrPlan is an optional instruction fault as the run's surface plan
+// (nil stays a fault-free run).
+func instrPlan(p *fi.Plan, agent int) fi.SurfacePlan {
+	if p == nil {
+		return nil
+	}
+	return instr.Plan{P: *p, Agent: agent}
 }
 
 // TestForkEquivalenceMatrix is the checkpoint/fork hard invariant, over
@@ -62,7 +73,7 @@ func TestForkEquivalenceMatrix(t *testing.T) {
 		for _, cell := range cells {
 			cell := cell
 			t.Run(mode.String()+"/"+cell.name, func(t *testing.T) {
-				cfg := Config{Scenario: sc, Mode: mode, Seed: seed, Fault: cell.plan}
+				cfg := Config{Scenario: sc, Mode: mode, Seed: seed, Surface: instrPlan(cell.plan, 0)}
 				cold := Run(cfg)
 				want := hashTrace(t, cold.Trace)
 
@@ -100,7 +111,7 @@ func TestForkEquivalenceMatrix(t *testing.T) {
 				forked := 0
 				for _, cp := range golden.Checkpoints {
 					if cell.plan != nil {
-						step, ok := prof.ActivationStep(cfg.FaultAgent, cell.plan.Target, cell.plan.DynIndex)
+						step, ok := prof.ActivationStep(0, cell.plan.Target, cell.plan.DynIndex)
 						if !ok || step < cp.Step {
 							continue // fault acts before this checkpoint's prefix ends
 						}
@@ -145,7 +156,7 @@ func TestRunFromRejectsMismatchedConfig(t *testing.T) {
 		{"overlap", func(c *Config) { c.Overlap = 0.5 }},
 		{"noise", func(c *Config) { c.SensorNoiseStd = 2.0 }},
 		{"profile", func(c *Config) { c.Profile = &fi.Profile{} }},
-		{"memfault-before", func(c *Config) { c.MemFault = &MemFault{Step: cp.Step - 1} }},
+		{"memfault-before", func(c *Config) { c.Surface = memfault.Plan{Step: cp.Step - 1} }},
 	}
 	for _, tc := range bad {
 		cfg := Config{Scenario: sc, Mode: RoundRobin, Seed: 7}
@@ -156,7 +167,7 @@ func TestRunFromRejectsMismatchedConfig(t *testing.T) {
 	}
 
 	// A matching config with a post-checkpoint memory fault is accepted.
-	ok := Config{Scenario: sc, Mode: RoundRobin, Seed: 7, MemFault: &MemFault{Step: cp.Step + 5, Addr: 100, Bit: 3}}
+	ok := Config{Scenario: sc, Mode: RoundRobin, Seed: 7, Surface: memfault.Plan{Step: cp.Step + 5, Addr: 100, Bit: 3}}
 	if _, err := RunFrom(cp, ok); err != nil {
 		t.Errorf("valid post-checkpoint memory fault rejected: %v", err)
 	}
@@ -194,17 +205,22 @@ func TestCheckpointPoolReuse(t *testing.T) {
 }
 
 // TestMemFaultForkEquivalence extends the matrix to the ECC-off memory
-// fault model (§VIII): a fork from a checkpoint before the flip must
-// reproduce the cold faulty trace exactly.
+// fault surface (§VIII): a fork from a checkpoint at or before the flip
+// must reproduce the cold faulty trace and its single activation.
 func TestMemFaultForkEquivalence(t *testing.T) {
 	sc := shortScenario()
-	cfg := Config{Scenario: sc, Mode: RoundRobin, Seed: 21, MemFault: &MemFault{Agent: 0, Step: 90, Addr: 512, Bit: 62}}
-	want := hashTrace(t, Run(cfg).Trace)
+	plan := memfault.Plan{Agent: 0, Step: 90, Addr: 512, Bit: 62}
+	cfg := Config{Scenario: sc, Mode: RoundRobin, Seed: 21, Surface: plan}
+	cold := Run(cfg)
+	want := hashTrace(t, cold.Trace)
+	if cold.Activations != 1 {
+		t.Fatalf("cold run activations %d, want 1", cold.Activations)
+	}
 
 	golden := Run(Config{Scenario: sc, Mode: RoundRobin, Seed: 21, CheckpointEvery: 40})
 	forked := 0
 	for _, cp := range golden.Checkpoints {
-		if cp.Step > cfg.MemFault.Step {
+		if cp.Step > plan.Step {
 			continue
 		}
 		res, err := RunFrom(cp, cfg)
@@ -213,6 +229,9 @@ func TestMemFaultForkEquivalence(t *testing.T) {
 		}
 		if got := hashTrace(t, res.Trace); got != want {
 			t.Errorf("fork from step %d: trace hash %s, want %s", cp.Step, got, want)
+		}
+		if res.Activations != cold.Activations {
+			t.Errorf("fork from step %d: activations %d, want %d", cp.Step, res.Activations, cold.Activations)
 		}
 		forked++
 	}

@@ -11,9 +11,8 @@ import (
 // trace: everything a forked injection run needs to track its own state
 // against the golden execution and, on bit-exact reconvergence, graft
 // the golden suffix instead of simulating it. The campaign executor
-// builds one per transient campaign from the checkpoint-emitting
-// profiling pass (lab.ProfileWithStream) and hands it to every fork via
-// Config.Golden.
+// builds one per transient campaign from its checkpointed golden pass
+// and hands it to every fork via Config.Golden.
 //
 // The checkpoints are pooled runner state with the same lifetime rules
 // as Result.Checkpoints: the stream must outlive every fork that tracks
@@ -148,16 +147,13 @@ func (r *runner) stateEquals(cp *Checkpoint) bool {
 // step? For the instruction surface that is the fi.Injector probe (a
 // transient that fired, or whose DynIndex the machine counter already
 // passed; a permanent injector never is); for windowed surfaces it is
-// the window having closed before `step`. A pending memory fault
-// (step >= current) and a StepHook (an observer the golden pass did
-// not run) both block splicing; a profiling run must observe its whole
+// the window having closed before `step` (an ECC-off memory flip's
+// one-step window included). A StepHook (an observer the golden pass
+// did not run) blocks splicing; a profiling run must observe its whole
 // stream and never splices.
 func (r *runner) spliceSafe(step int) bool {
 	cfg := &r.cfg
 	if cfg.Profile != nil || cfg.StepHook != nil {
-		return false
-	}
-	if mf := cfg.MemFault; mf != nil && step <= mf.Step {
 		return false
 	}
 	if r.surface != nil && !r.surface.Quiescent(step) {

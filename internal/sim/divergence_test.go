@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"diverseav/internal/fi"
+	"diverseav/internal/fi/instr"
 	"diverseav/internal/geom"
 	"diverseav/internal/scenario"
 	"diverseav/internal/vm"
@@ -11,7 +12,7 @@ import (
 
 // goldenStream runs the checkpoint-emitting golden pass for one
 // scenario/mode/seed identity and wraps it the way the campaign executor
-// does (lab.ProfileWithStream).
+// does.
 func goldenStream(sc *scenario.Scenario, mode Mode, seed uint64, every int) *GoldenStream {
 	res := Run(Config{Scenario: sc, Mode: mode, Seed: seed, CheckpointEvery: every})
 	return &GoldenStream{Checkpoints: res.Checkpoints, Trace: res.Trace}
@@ -49,7 +50,7 @@ func TestSpliceEquivalenceMatrix(t *testing.T) {
 		for _, cell := range cells {
 			cell := cell
 			t.Run(mode.String()+"/"+cell.name, func(t *testing.T) {
-				cfg := Config{Scenario: sc, Mode: mode, Seed: seed, Fault: cell.plan}
+				cfg := Config{Scenario: sc, Mode: mode, Seed: seed, Surface: instrPlan(cell.plan, 0)}
 				cold := Run(cfg)
 				want := hashTrace(t, cold.Trace)
 				if cold.Exec.ExitReason != "" {
@@ -112,7 +113,7 @@ func TestSpliceEquivalenceMatrix(t *testing.T) {
 				}
 				for _, cp := range stream.Checkpoints {
 					if cell.plan != nil {
-						step, ok := prof.ActivationStep(cfg.FaultAgent, cell.plan.Target, cell.plan.DynIndex)
+						step, ok := prof.ActivationStep(0, cell.plan.Target, cell.plan.DynIndex)
 						if !ok || step < cp.Step {
 							continue
 						}
@@ -216,7 +217,7 @@ func TestNoFireAfterSplice(t *testing.T) {
 		for frac := 1; frac <= 6; frac++ {
 			dyn := total * uint64(frac) / 8
 			plan := &fi.Plan{Target: vm.GPU, Model: fi.Transient, DynIndex: dyn, Bit: bit}
-			cfg := Config{Scenario: sc, Mode: RoundRobin, Seed: seed, Fault: plan}
+			cfg := Config{Scenario: sc, Mode: RoundRobin, Seed: seed, Surface: instrPlan(plan, 0)}
 			cold := Run(cfg)
 			if cold.Activations == 0 {
 				continue // never fired: quiescence-by-activation untestable here
@@ -279,7 +280,7 @@ func TestEarlyExit(t *testing.T) {
 	}
 	for _, plan := range plans {
 		plan := plan
-		cfg := Config{Scenario: &sc, Mode: Single, Seed: seed, Fault: &plan}
+		cfg := Config{Scenario: &sc, Mode: Single, Seed: seed, Surface: instr.Plan{P: plan}}
 		cold := Run(cfg)
 		if cold.Trace.DUE() || MaxTrajectoryDivergence(cold.Trace, goldenPos) < thr {
 			continue // this plan never diverges far enough to exit early

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"diverseav/internal/agent"
+	"diverseav/internal/fi/memfault"
 	"diverseav/internal/scenario"
 	"diverseav/internal/trace"
 )
@@ -59,8 +60,8 @@ func TestOverlapIncreasesCompute(t *testing.T) {
 
 func TestMemFaultInGuardRegionIsMasked(t *testing.T) {
 	// A bit flip in unused guard memory must change nothing.
-	mf := &MemFault{Agent: 0, Step: 100, Addr: agent.MemWords - 4, Bit: 30}
-	faulty := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 37, MemFault: mf})
+	mf := memfault.Plan{Agent: 0, Step: 100, Addr: agent.MemWords - 4, Bit: 30}
+	faulty := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 37, Surface: mf})
 	golden := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 37})
 	if faulty.Trace.Outcome != golden.Trace.Outcome {
 		t.Errorf("guard-region flip changed the outcome: %s vs %s", faulty.Trace.Outcome, golden.Trace.Outcome)
@@ -75,8 +76,8 @@ func TestMemFaultInGuardRegionIsMasked(t *testing.T) {
 func TestMemFaultInStateIsNotMasked(t *testing.T) {
 	// Flipping a high bit of agent 0's PID integrator perturbs its
 	// subsequent commands.
-	mf := &MemFault{Agent: 0, Step: 400, Addr: agent.AddrState, Bit: 62}
-	faulty := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 37, MemFault: mf})
+	mf := memfault.Plan{Agent: 0, Step: 400, Addr: agent.AddrState, Bit: 62}
+	faulty := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 37, Surface: mf})
 	golden := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 37})
 	n := len(golden.Trace.Steps)
 	if len(faulty.Trace.Steps) < n {
@@ -96,10 +97,14 @@ func TestMemFaultInStateIsNotMasked(t *testing.T) {
 }
 
 func TestMemFaultAddressClamped(t *testing.T) {
-	// Out-of-range addresses must not panic.
-	mf := &MemFault{Agent: 0, Step: 10, Addr: 1 << 30, Bit: 1}
-	res := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 41, MemFault: mf})
+	// Out-of-range addresses must not panic: the flip lands on the
+	// last word instead.
+	mf := memfault.Plan{Agent: 0, Step: 10, Addr: 1 << 30, Bit: 1}
+	res := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 41, Surface: mf})
 	if res == nil {
 		t.Fatal("nil result")
+	}
+	if res.Activations != 1 || res.Trace.Fault != mf.String() {
+		t.Errorf("activations %d, fault %q; want 1 and %q", res.Activations, res.Trace.Fault, mf.String())
 	}
 }

@@ -5,13 +5,14 @@ import (
 
 	"diverseav/internal/core"
 	"diverseav/internal/fi"
+	"diverseav/internal/fi/instr"
 	"diverseav/internal/scenario"
 	"diverseav/internal/vm"
 )
 
 func TestTransientFaultStrikesOneAgent(t *testing.T) {
 	plan := fi.Plan{Target: vm.GPU, Model: fi.Transient, DynIndex: 500_000, Bit: 40}
-	res := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 11, Fault: &plan, FaultAgent: 1})
+	res := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 11, Surface: instr.Plan{P: plan, Agent: 1}})
 	if res.Activations != 1 {
 		t.Errorf("activations = %d, want exactly 1", res.Activations)
 	}
@@ -19,7 +20,7 @@ func TestTransientFaultStrikesOneAgent(t *testing.T) {
 
 func TestPermanentFaultStrikesBothAgentsInRoundRobin(t *testing.T) {
 	plan := fi.Plan{Target: vm.GPU, Model: fi.Permanent, Opcode: vm.FSQRT, Bit: 2}
-	res := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 11, Fault: &plan})
+	res := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 11, Surface: instr.Plan{P: plan}})
 	// FSQRT runs a couple of times per frame per agent; with both agents
 	// corrupted the activation count must exceed the frame count.
 	if res.Activations < uint64(len(res.Trace.Steps)) {
@@ -30,8 +31,8 @@ func TestPermanentFaultStrikesBothAgentsInRoundRobin(t *testing.T) {
 
 func TestPermanentFaultStrikesOneReplicaInDuplicate(t *testing.T) {
 	plan := fi.Plan{Target: vm.GPU, Model: fi.Permanent, Opcode: vm.FSQRT, Bit: 2}
-	rr := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 11, Fault: &plan})
-	dup := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: Duplicate, Seed: 11, Fault: &plan, FaultAgent: 0})
+	rr := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 11, Surface: instr.Plan{P: plan}})
+	dup := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: Duplicate, Seed: 11, Surface: instr.Plan{P: plan, Agent: 0}})
 	// In duplicate mode each agent sees every frame, but only one agent
 	// carries the injector (§VI-B): per-frame activations per run should
 	// be comparable to round-robin (2 agents × half frames each), not
@@ -49,7 +50,7 @@ func TestSevereFaultChangesBehaviorAndIsObservable(t *testing.T) {
 	// signal (nonzero alternating divergence).
 	plan := fi.Plan{Target: vm.GPU, Model: fi.Permanent, Opcode: vm.FMA, Bit: 58}
 	golden := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 13})
-	faulty := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 13, Fault: &plan})
+	faulty := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 13, Surface: instr.Plan{P: plan}})
 	if faulty.Activations == 0 {
 		t.Fatal("fault never activated")
 	}
@@ -74,7 +75,7 @@ func TestCPUFaultOnAddressPathCrashes(t *testing.T) {
 	// marshal loop's addresses negative: the platform must observe a
 	// crash (segfault analogue), the paper's dominant CPU outcome.
 	plan := fi.Plan{Target: vm.CPU, Model: fi.Permanent, Opcode: vm.IADDI, Bit: 63}
-	res := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 17, Fault: &plan})
+	res := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 17, Surface: instr.Plan{P: plan}})
 	if !res.Trace.DUE() {
 		t.Errorf("outcome = %s, want crash/hang", res.Trace.Outcome)
 	}
@@ -87,7 +88,7 @@ func TestLowBitCPUFaultIsMasked(t *testing.T) {
 	// A transient low-mantissa corruption of one copied pixel must be
 	// masked: the run completes and matches golden outcomes.
 	plan := fi.Plan{Target: vm.CPU, Model: fi.Transient, DynIndex: 200_000, Bit: 3}
-	res := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 19, Fault: &plan})
+	res := Run(Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 19, Surface: instr.Plan{P: plan}})
 	if res.Trace.DUE() || res.Trace.Collided() {
 		t.Errorf("low-bit pixel corruption was not masked: %s", res.Trace.Outcome)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"diverseav/internal/fi"
+	"diverseav/internal/fi/instr"
 	"diverseav/internal/scenario"
 	"diverseav/internal/vm"
 )
@@ -37,7 +38,7 @@ func TestPermanentScopeMatchesTier0(t *testing.T) {
 				continue
 			}
 			plan := fi.Plan{Target: d, Model: fi.Permanent, Opcode: op, Bit: 40 + uint(op)%20}
-			cfg := Config{Scenario: sc, Mode: RoundRobin, Seed: 17, Fault: &plan}
+			cfg := Config{Scenario: sc, Mode: RoundRobin, Seed: 17, Surface: instr.Plan{P: plan}}
 			fast := Run(cfg)
 			cfg.ForceVMTier0 = true
 			slow := Run(cfg)

@@ -11,7 +11,6 @@ import (
 
 	"diverseav/internal/agent"
 	"diverseav/internal/fi"
-	"diverseav/internal/fi/instr"
 	"diverseav/internal/geom"
 	"diverseav/internal/par"
 	"diverseav/internal/physics"
@@ -66,21 +65,14 @@ type Config struct {
 	Scenario *scenario.Scenario
 	Mode     Mode
 	Seed     uint64
-	// Fault, when non-nil, is injected: a transient plan attaches to
-	// FaultAgent's machine only (a transient fault strikes one process),
-	// a permanent plan attaches to every agent's machine (the processor
-	// is shared, §VI-A). Fault is the instruction surface's legacy
-	// doorway — internally it is adapted to a Surface (fi/instr) and the
-	// runner arms that; the two fields are mutually exclusive.
-	Fault      *fi.Plan
-	FaultAgent int
-	// Surface, when non-nil, injects through a pluggable fault surface
-	// (fi.SurfacePlan): sensor-frame corruption, perception-interface
-	// perturbation, or any registered surface. Mutually exclusive with
-	// Fault, which covers the instruction surface.
+	// Surface, when non-nil, is the injected fault (fi.SurfacePlan), the
+	// run's only injection doorway: an instruction-level XOR fault
+	// (fi/instr, whose plan names the agent a transient fault strikes),
+	// an ECC-off memory bit flip (fi/memfault), sensor-frame corruption,
+	// perception-interface perturbation, or any other surface.
 	Surface fi.SurfacePlan
 	// Profile, when non-nil, records the fault-free instruction profile
-	// of agent 0 (used by planners). Mutually exclusive with Fault.
+	// of agent 0 (used by planners). Mutually exclusive with Surface.
 	Profile *fi.Profile
 	// SensorNoiseStd overrides the camera noise amplitude when > 0.
 	SensorNoiseStd float64
@@ -90,11 +82,6 @@ type Config struct {
 	// by less than 50%, at extra compute cost). 0 = pure round-robin;
 	// 0.5 = every second frame is duplicated to both agents.
 	Overlap float64
-	// MemFault, when non-nil, flips a bit in an agent's fabric memory at
-	// a chosen step — the paper's §VIII "ECC disabled" extension, where
-	// memory faults propagate to the actuation level instead of being
-	// corrected.
-	MemFault *MemFault
 	// StepHook, when non-nil, observes each step after sensing and
 	// before agent execution (visualization and debugging).
 	StepHook func(step int, env *scenario.Env, frames *[3]sensor.Frame)
@@ -138,7 +125,7 @@ type Config struct {
 	// must key on it.
 	EarlyExitDivergence float64
 	// Propagation, when set on a divergence-aware injection run (Golden
-	// non-nil, Fault or Surface set), arms the fault-propagation tracer:
+	// non-nil, Surface set), arms the fault-propagation tracer:
 	// a read-only probe that, at every golden checkpoint step, compares
 	// each subsystem's state against the golden stream and records
 	// first-divergence attribution and deviation trajectories into
@@ -148,14 +135,6 @@ type Config struct {
 	// nothing. The record itself IS part of the campaign artifact, so
 	// campaign specs key on this flag (unlike Golden).
 	Propagation bool
-}
-
-// MemFault is a single uncorrected memory bit flip (ECC-off model).
-type MemFault struct {
-	Agent int  // which agent's memory
-	Step  int  // simulation step at which the flip lands
-	Addr  int  // word address (clamped into the memory range)
-	Bit   uint // bit position within the 64-bit word
 }
 
 // Result is the run outcome: the full trace plus fault activation
@@ -189,11 +168,10 @@ type runner struct {
 	imu    *sensor.IMU
 	jitter *rng.Rand
 	agents []*agent.Agent
-	// surface is the armed fault surface (nil on fault-free runs):
-	// Config.Fault adapted through fi/instr, or Config.Surface
-	// instantiated. All fault mechanics — quiescence for the splice
-	// gate, activation counters, checkpoint snapshot/restore — go
-	// through this interface.
+	// surface is the armed fault surface, Config.Surface instantiated
+	// (nil on fault-free runs). All fault mechanics — quiescence for
+	// the splice gate, activation counters, checkpoint snapshot/restore
+	// — go through this interface.
 	surface fi.Surface
 	// frameHooks/outputHooks are the interception points a surface
 	// registered when it armed (sensor-frame corruption and
@@ -313,15 +291,8 @@ func newRunner(cfg Config) *runner {
 		}
 	}
 	// Fault arming goes through the pluggable-surface interface: the
-	// legacy Fault plan is adapted to the instruction surface (which
-	// reproduces the pre-refactor per-agent reach: a transient fault
-	// strikes one process, a permanent fault the shared processor —
-	// every agent except in the FD baseline's dedicated-replica mode,
-	// §VI-B); Config.Surface arms whatever surface the plan names.
+	// runner arms whatever surface the plan names.
 	switch {
-	case cfg.Fault != nil:
-		r.surface = instr.FromFault(*cfg.Fault, cfg.FaultAgent).New()
-		r.surface.Arm((*harness)(r))
 	case cfg.Surface != nil:
 		r.surface = cfg.Surface.New()
 		r.surface.Arm((*harness)(r))
@@ -342,15 +313,12 @@ func newRunner(cfg Config) *runner {
 		Hz:       Hz,
 		Outcome:  trace.OutcomeCompleted,
 	}
-	switch {
-	case cfg.Fault != nil:
-		r.tr.Fault = cfg.Fault.String()
-	case cfg.Surface != nil:
+	if cfg.Surface != nil {
 		r.tr.Fault = cfg.Surface.String()
 	}
 
 	r.golden = cfg.Golden
-	if cfg.Propagation && cfg.Golden != nil && (cfg.Fault != nil || cfg.Surface != nil) {
+	if cfg.Propagation && cfg.Golden != nil && cfg.Surface != nil {
 		r.prop = &propTracker{firstStep: -1, actStep: -1}
 	}
 	r.steps = int(cfg.Scenario.Duration * Hz)
@@ -424,8 +392,8 @@ func (r *runner) stepOnce(step int) *Result {
 
 // stepWorld advances NPC intent and physics, renders this step's sensor
 // data into the frame buffers (IMU reading and speed limit land in the
-// per-step scratch for stepAgents), then applies the step hook and any
-// scheduled ECC-off memory fault (§VIII extension).
+// per-step scratch for stepAgents), then runs the armed frame hooks and
+// the step hook.
 func (r *runner) stepWorld(step int) {
 	cfg, env := r.cfg, r.env
 	dt := 1.0 / Hz
@@ -454,24 +422,13 @@ func (r *runner) stepWorld(step int) {
 	// the sensor and the distributor: every agent that receives this
 	// step's frame sees the corrupted bytes, exactly like a faulty
 	// camera link. (StepHook observers therefore see them too — the
-	// visualizer shows what the agents saw.)
+	// visualizer shows what the agents saw.) ECC-off memory flips
+	// (fi/memfault) land here too, before any agent executes.
 	for _, hook := range r.frameHooks {
 		hook(step, &r.frames)
 	}
 	if cfg.StepHook != nil {
 		cfg.StepHook(step, env, &r.frames)
-	}
-
-	if mf := cfg.MemFault; mf != nil && step == mf.Step {
-		mem := r.agents[mf.Agent%len(r.agents)].Machine().Mem()
-		addr := mf.Addr
-		if addr < 0 {
-			addr = 0
-		}
-		if addr >= len(mem) {
-			addr = len(mem) - 1
-		}
-		mem[addr] = math.Float64frombits(math.Float64bits(mem[addr]) ^ (1 << (mf.Bit & 63)))
 	}
 }
 

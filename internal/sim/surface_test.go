@@ -4,14 +4,15 @@ import (
 	"strings"
 	"testing"
 
+	"diverseav/internal/agent"
 	"diverseav/internal/fi"
 	"diverseav/internal/fi/hallucinate"
-	"diverseav/internal/fi/instr"
+	"diverseav/internal/fi/memfault"
 	"diverseav/internal/fi/sensorfault"
-	"diverseav/internal/vm"
 )
 
-// surfaceMatrixPlans is one plan per surface kind, windows spread over
+// surfaceMatrixPlans is one plan per step-space surface kind (the ECC-off
+// memory flip included), windows spread over
 // the short scenario's 120 steps so early, mid and late detach points
 // are all exercised.
 func surfaceMatrixPlans() []fi.SurfacePlan {
@@ -22,6 +23,7 @@ func surfaceMatrixPlans() []fi.SurfacePlan {
 		hallucinate.Plan{Kind: hallucinate.Phantom, Agent: 0, Step: 40, Duration: 40, Dist: 8},
 		hallucinate.Plan{Kind: hallucinate.Drop, Agent: 1, Step: 55, Duration: 30},
 		hallucinate.Plan{Kind: hallucinate.LaneBias, Agent: 0, Step: 35, Duration: 50, Bias: 0.8},
+		memfault.Plan{Agent: 1, Step: 60, Addr: agent.AddrState, Bit: 62},
 	}
 }
 
@@ -94,38 +96,6 @@ func TestSurfaceEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestInstrSurfaceArmEquivalence pins the refactor's core claim: a run
-// armed through the instr surface (cfg.Surface) is byte-identical to
-// the legacy direct-injector path (cfg.Fault), for both fault models.
-func TestInstrSurfaceArmEquivalence(t *testing.T) {
-	sc := shortScenario()
-	const seed = 3131
-	var prof fi.Profile
-	Run(Config{Scenario: sc, Mode: RoundRobin, Seed: seed, Profile: &prof})
-
-	plans := []struct {
-		name  string
-		plan  fi.Plan
-		agent int
-	}{
-		{"transient-gpu", fi.Plan{Target: vm.GPU, Model: fi.Transient, DynIndex: prof.InstrCount[vm.GPU] / 3, Bit: 21}, 1},
-		{"permanent-cpu", fi.Plan{Target: vm.CPU, Model: fi.Permanent, Opcode: vm.FADD, Bit: 5}, 0},
-	}
-	for _, tc := range plans {
-		t.Run(tc.name, func(t *testing.T) {
-			plan := tc.plan
-			legacy := Run(Config{Scenario: sc, Mode: RoundRobin, Seed: seed, Fault: &plan, FaultAgent: tc.agent})
-			surf := Run(Config{Scenario: sc, Mode: RoundRobin, Seed: seed, Surface: instr.FromFault(plan, tc.agent)})
-			if got, want := hashTrace(t, surf.Trace), hashTrace(t, legacy.Trace); got != want {
-				t.Error("surface-armed trace diverged from legacy injector path")
-			}
-			if surf.Activations != legacy.Activations {
-				t.Errorf("surface activations %d, legacy %d", surf.Activations, legacy.Activations)
-			}
-		})
-	}
-}
-
 // TestSurfaceSpliceBenign: a surface fault that perturbs nothing (zero
 // lane bias) but still activates must reconverge and splice onto the
 // golden tail once its window closes — the quiescence gate expressed
@@ -151,11 +121,15 @@ func TestSurfaceSpliceBenign(t *testing.T) {
 	}
 }
 
+// undecidablePlan is a step-space plan without a decidable start step.
+type undecidablePlan struct{ sensorfault.Plan }
+
+func (undecidablePlan) Start() int { return -1 }
+
 // TestSurfaceValidation pins the argument contracts the surfaces added
 // to RunFrom and RunLanesFrom.
 func TestSurfaceValidation(t *testing.T) {
 	sc := shortScenario()
-	fault := fi.Plan{Target: vm.GPU, Model: fi.Transient, DynIndex: 1, Bit: 1}
 	plan := sensorfault.Plan{Kind: sensorfault.BitFlip, Camera: 0, Step: 50, Duration: 10, Pixels: 4, Bit: 1, Seed: 7}
 	ok := Config{Scenario: sc, Mode: RoundRobin, Seed: 1, Surface: plan}
 
@@ -165,8 +139,7 @@ func TestSurfaceValidation(t *testing.T) {
 		detach []int
 		want   string
 	}{
-		{"both-fault-and-surface", []Config{func() Config { c := ok; c.Fault = &fault; return c }()}, []int{0}, "both Fault and Surface"},
-		{"undecidable-start", []Config{func() Config { c := ok; c.Surface = instr.FromFault(fault, 0); return c }()}, []int{0}, "no decidable start step"},
+		{"undecidable-start", []Config{func() Config { c := ok; c.Surface = undecidablePlan{plan}; return c }()}, []int{0}, "no decidable start step"},
 		{"clone-surface-lane", []Config{ok}, []int{-1}, "cannot be golden-cloned"},
 		{"detach-after-start", []Config{ok}, []int{60}, "after surface start"},
 	}
@@ -193,10 +166,5 @@ func TestSurfaceValidation(t *testing.T) {
 	}
 	if _, err := RunFrom(late, ok); err == nil || !strings.Contains(err.Error(), "before checkpoint step") {
 		t.Fatalf("RunFrom past window start: error %v, want checkpoint rejection", err)
-	}
-	both := ok
-	both.Fault = &fault
-	if _, err := RunFrom(golden.Checkpoints[0], both); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("RunFrom with Fault and Surface: error %v, want mutual-exclusion rejection", err)
 	}
 }

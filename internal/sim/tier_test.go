@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"diverseav/internal/fi"
+	"diverseav/internal/fi/instr"
 	"diverseav/internal/vm"
 )
 
@@ -37,7 +38,7 @@ func TestRunTierEquivalence(t *testing.T) {
 func TestRunTierEquivalenceUnderFault(t *testing.T) {
 	sc := shortScenario()
 	plan := fi.Plan{Target: vm.GPU, Model: fi.Transient, DynIndex: 500_000, Bit: 40}
-	base := Config{Scenario: sc, Mode: RoundRobin, Seed: 3, Fault: &plan, FaultAgent: 1}
+	base := Config{Scenario: sc, Mode: RoundRobin, Seed: 3, Surface: instr.Plan{P: plan, Agent: 1}}
 	tier0 := base
 	tier0.ForceVMTier0 = true
 	h1, h0 := traceHash(t, base), traceHash(t, tier0)
