@@ -2,7 +2,7 @@ package diverseav_test
 
 // One benchmark per table and figure of the paper's evaluation. Each
 // regenerates its artifact at the fast benchmark scale
-// (campaign.BenchSizes) and prints the rows/series the paper reports;
+// (lab.BenchSizes) and prints the rows/series the paper reports;
 // cmd/experiments produces the same sections at larger scale, and
 // cmd/experiments -full at the paper's scale.
 //

@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"diverseav/internal/agent"
-	"diverseav/internal/campaign"
 	"diverseav/internal/fi"
 	"diverseav/internal/geom"
 	"diverseav/internal/grid"
@@ -90,53 +89,41 @@ func benchSimRun(mode sim.Mode, serial, tier0 bool) (func(b *testing.B), int) {
 	}, steps
 }
 
-// benchCampaignTransient measures the transient portion of a campaign at
-// DefaultSizes — the workload checkpoint/fork execution targets. The
-// golden set is precomputed (it is shared across campaigns and not what
-// is being measured); the profiling pass is included, since the fork
-// path pays for its checkpoint emission there. stepsOut receives the
-// total trace steps the campaign produced (identical every iteration),
-// so StepsPerSec is the EFFECTIVE throughput: forked runs get their
-// restored prefix steps for free, which is exactly the win.
-func benchCampaignTransient(opts campaign.Options, stepsOut *int) func(b *testing.B) {
-	sc := scenario.LeadSlowdown()
-	sizes := campaign.DefaultSizes()
-	golden := campaign.Golden(sc, sim.RoundRobin, 1, 1033)
+// benchCampaign measures one GPU campaign of LeadSlowdown in DiverseAV
+// mode at seed 33; spec supplies the rest (model, surface, sizes —
+// DefaultSizes when zero — and execution strategy). The golden set is
+// precomputed (it is shared across campaigns and not what is being
+// measured) and seeded into a fresh lab every iteration, so memoization
+// never short-circuits the campaign; a transient campaign's profiling
+// pass is included, since the fork path pays for its checkpoint
+// emission there. stepsOut receives the total trace steps the campaign
+// produced (identical every iteration), so StepsPerSec is the EFFECTIVE
+// throughput: forked runs get their restored prefix steps for free,
+// which is exactly the win.
+func benchCampaign(spec lab.CampaignSpec, stepsOut *int) func(b *testing.B) {
+	spec.Scenario, spec.Mode, spec.Target, spec.Seed = scenario.LeadSlowdown().Name, sim.RoundRobin, vm.GPU, 33
+	if spec.Sizes == (lab.Sizes{}) {
+		spec.Sizes = lab.DefaultSizes()
+	}
+	spec.Golden = lab.GoldenSpec{Scenario: spec.Scenario, Mode: spec.Mode, N: 1, Seed: spec.Seed + 1000}
+	golden := lab.New().Golden(spec.Golden)
+	run := func() *lab.Campaign {
+		l := lab.New()
+		l.ProvideGolden(spec.Golden, golden)
+		return l.Campaign(spec)
+	}
 	return func(b *testing.B) {
 		b.ReportAllocs()
-		if opts.CheckpointEvery >= 0 {
+		if spec.Model == fi.Transient && spec.CheckpointEvery >= 0 {
 			// Warm the checkpoint pool so the measurement reflects the
 			// steady state of a long campaign (recycled snapshot buffers),
 			// not the first pass's pool misses.
-			campaign.RunWithOptions(sc, sim.RoundRobin, vm.GPU, fi.Transient, sizes, 33, golden, opts)
+			run()
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c := campaign.RunWithOptions(sc, sim.RoundRobin, vm.GPU, fi.Transient, sizes, 33, golden, opts)
 			total := 0
-			for _, r := range c.Runs {
-				total += len(r.Result.Trace.Steps)
-			}
-			*stepsOut = total
-		}
-	}
-}
-
-// benchCampaignPermanent measures a permanent campaign: a strided ISA
-// sweep on the GPU (every sixth writeback opcode, as in BenchSizes),
-// every run cold from step 0 with its hook scoped to one opcode. The
-// golden set is precomputed, as in benchCampaignTransient.
-func benchCampaignPermanent(stepsOut *int) func(b *testing.B) {
-	sc := scenario.LeadSlowdown()
-	sizes := campaign.DefaultSizes()
-	sizes.PermStride = 6
-	golden := campaign.Golden(sc, sim.RoundRobin, 1, 1033)
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c := campaign.RunWithOptions(sc, sim.RoundRobin, vm.GPU, fi.Permanent, sizes, 33, golden, campaign.Options{})
-			total := 0
-			for _, r := range c.Runs {
+			for _, r := range run().Runs {
 				total += len(r.Result.Trace.Steps)
 			}
 			*stepsOut = total
@@ -153,7 +140,7 @@ func benchProfile(stepsOut *int) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			campaign.Profile(sc, sim.RoundRobin, 33)
+			lab.New().Profile(lab.ProfileSpec{Scenario: sc.Name, Mode: sim.RoundRobin, Seed: 33})
 		}
 	}
 }
@@ -184,38 +171,13 @@ func benchAgentFrame(tier int) func(b *testing.B) {
 	}
 }
 
-// benchCampaignSurface measures a transient campaign on a pluggable
-// fault surface at DefaultSizes — the non-VM injection hot path (frame
-// and output hook dispatch plus checkpoint forks, no instruction-stream
-// plumbing). The golden set is precomputed like the instruction entry's,
-// so the ladders differ only in the armed surface.
-func benchCampaignSurface(surface string, stepsOut *int) func(b *testing.B) {
-	sc := scenario.LeadSlowdown()
-	sizes := campaign.DefaultSizes()
-	golden := campaign.Golden(sc, sim.RoundRobin, 1, 1033)
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		// Warm the checkpoint pool, matching benchCampaignTransient.
-		campaign.RunSurface(sc, surface, sim.RoundRobin, vm.GPU, fi.Transient, sizes, 33, golden, campaign.Options{})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c := campaign.RunSurface(sc, surface, sim.RoundRobin, vm.GPU, fi.Transient, sizes, 33, golden, campaign.Options{})
-			total := 0
-			for _, r := range c.Runs {
-				total += len(r.Result.Trace.Steps)
-			}
-			*stepsOut = total
-		}
-	}
-}
-
 // benchRunFromCheckpoint measures a single fork: resume a run from its
 // midpoint checkpoint. StepsPerSec is again effective throughput over
 // the full trace (half restored, half simulated).
 func benchRunFromCheckpoint(stepsOut *int) func(b *testing.B) {
 	cfg := sim.Config{Scenario: scenario.LeadSlowdown(), Mode: sim.RoundRobin, Seed: 3}
 	cpCfg := cfg
-	cpCfg.CheckpointEvery = campaign.DefaultCheckpointEvery
+	cpCfg.CheckpointEvery = lab.DefaultCheckpointEvery
 	res := sim.Run(cpCfg)
 	if len(res.Checkpoints) == 0 {
 		panic("no checkpoints emitted")
@@ -254,7 +216,7 @@ func benchStudy(sess *obs.Session) (cold, warm time.Duration, steps int, stats l
 	start = time.Now()
 	report.NewStudy(o)
 	warm = time.Since(start)
-	for _, camps := range [][]*campaign.Campaign{study.RR, study.FD, study.Single} {
+	for _, camps := range [][]*lab.Campaign{study.RR, study.FD, study.Single} {
 		for _, c := range camps {
 			for _, r := range c.Runs {
 				steps += len(r.Result.Trace.Steps)
@@ -320,7 +282,7 @@ func benchGridStudy(sess *obs.Session) (elapsed time.Duration, steps int, err er
 	coord.Drain(2 * time.Second)
 	srv.Close()
 	workers.Wait()
-	for _, camps := range [][]*campaign.Campaign{study.RR, study.FD, study.Single} {
+	for _, camps := range [][]*lab.Campaign{study.RR, study.FD, study.Single} {
 		for _, c := range camps {
 			for _, r := range c.Runs {
 				steps += len(r.Result.Trace.Steps)
@@ -534,20 +496,18 @@ func main() {
 			return testing.Benchmark(fn), steps
 		}
 	}
-	campCase := func(opts campaign.Options) func() (testing.BenchmarkResult, int) {
+	campCase := func(spec lab.CampaignSpec) func() (testing.BenchmarkResult, int) {
 		return func() (testing.BenchmarkResult, int) {
 			var steps int
-			r := testing.Benchmark(benchCampaignTransient(opts, &steps))
+			r := testing.Benchmark(benchCampaign(spec, &steps))
 			return r, steps
 		}
 	}
-	surfCase := func(surface string) func() (testing.BenchmarkResult, int) {
-		return func() (testing.BenchmarkResult, int) {
-			var steps int
-			r := testing.Benchmark(benchCampaignSurface(surface, &steps))
-			return r, steps
-		}
-	}
+	// The permanent entry sweeps every sixth writeback opcode, as in
+	// BenchSizes; every run is cold from step 0 with its hook scoped to
+	// one opcode.
+	permSizes := lab.DefaultSizes()
+	permSizes.PermStride = 6
 	stepsCase := func(bench func(*int) func(*testing.B)) func() (testing.BenchmarkResult, int) {
 		return func() (testing.BenchmarkResult, int) {
 			var steps int
@@ -569,15 +529,15 @@ func main() {
 		{"vm/agent-frame-tier1", noSteps(benchAgentFrame(1))},
 		{"vm/agent-frame-tier0", noSteps(benchAgentFrame(0))},
 		{"sim-run-from-checkpoint", stepsCase(benchRunFromCheckpoint)},
-		{"campaign/transient-cold", campCase(campaign.Options{CheckpointEvery: -1})},
-		{"campaign/transient-fork", campCase(campaign.Options{DisableSplice: true, LaneWidth: -1})},
-		{"campaign/transient-splice", campCase(campaign.Options{LaneWidth: -1})},
-		{"campaign/transient-batch", campCase(campaign.Options{})},
-		{"campaign/transient-traced", campCase(campaign.Options{Propagation: true})},
-		{"campaign/permanent", stepsCase(benchCampaignPermanent)},
+		{"campaign/transient-cold", campCase(lab.CampaignSpec{CheckpointEvery: -1})},
+		{"campaign/transient-fork", campCase(lab.CampaignSpec{DisableSplice: true, LaneWidth: -1})},
+		{"campaign/transient-splice", campCase(lab.CampaignSpec{LaneWidth: -1})},
+		{"campaign/transient-batch", campCase(lab.CampaignSpec{})},
+		{"campaign/transient-traced", campCase(lab.CampaignSpec{Propagation: true})},
+		{"campaign/permanent", campCase(lab.CampaignSpec{Model: fi.Permanent, Sizes: permSizes})},
 		{"campaign/profile", stepsCase(benchProfile)},
-		{"campaign/sensorfault", surfCase(fi.SurfaceSensor)},
-		{"campaign/hallucinate", surfCase(fi.SurfaceHallucinate)},
+		{"campaign/sensorfault", campCase(lab.CampaignSpec{Surface: fi.SurfaceSensor})},
+		{"campaign/hallucinate", campCase(lab.CampaignSpec{Surface: fi.SurfaceHallucinate})},
 		{"render/center-camera", noSteps(benchRender)},
 		{"geom/project-full", noSteps(benchProject)},
 		{"geom/project-near", noSteps(benchProjectNear)},

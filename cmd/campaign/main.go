@@ -9,7 +9,6 @@ import (
 	"os"
 	"strings"
 
-	"diverseav/internal/campaign"
 	"diverseav/internal/fi"
 	"diverseav/internal/lab"
 	"diverseav/internal/obs"
@@ -61,9 +60,9 @@ func main() {
 	if strings.EqualFold(*model, "transient") {
 		mdl = fi.Transient
 	}
-	sizes := campaign.DefaultSizes()
+	sizes := lab.DefaultSizes()
 	if *full {
-		sizes = campaign.FullSizes()
+		sizes = lab.FullSizes()
 	}
 
 	l := lab.New()

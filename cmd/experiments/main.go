@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"diverseav/internal/campaign"
 	"diverseav/internal/fi"
 	"diverseav/internal/grid"
 	"diverseav/internal/lab"
@@ -89,7 +88,7 @@ func main() {
 		o = report.BenchOptions()
 	}
 	if *full {
-		o.Sizes = campaign.FullSizes()
+		o.Sizes = lab.FullSizes()
 	}
 	o.Seed = *seed
 	o.Log = os.Stderr

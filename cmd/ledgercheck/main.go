@@ -2,8 +2,8 @@
 // -telemetry flag of the other drivers and prints a per-file digest:
 // span counts by phase and cache status, total queue/exec time, the
 // per-node span counts of a merged grid ledger, the divergence-aware
-// run summary (simulated steps, splice and early-exit counts from the
-// per-run spans), the per-fault-surface run-span tally, the
+// run summary (simulated steps and exit-reason counts from the per-run
+// spans), the per-fault-surface run-span tally, the
 // propagation-record tally, and the metrics record. With -summary it
 // prints a human-readable table instead: records per type, phase,
 // surface and node, plus the schema version. It exits nonzero on the

@@ -7,10 +7,10 @@ package main
 import (
 	"fmt"
 
-	"diverseav/internal/campaign"
 	"diverseav/internal/core"
 	"diverseav/internal/fi"
 	"diverseav/internal/fi/instr"
+	"diverseav/internal/lab"
 	"diverseav/internal/scenario"
 	"diverseav/internal/sim"
 	"diverseav/internal/vm"
@@ -18,9 +18,10 @@ import (
 
 func main() {
 	fmt.Println("training the three detectors (one long-route run each)...")
-	detRR := campaign.TrainDetector(core.DefaultConfig(), sim.RoundRobin, core.CompareAlternating, 1, 42)
-	detFD := campaign.TrainDetector(core.DefaultConfig(), sim.Duplicate, core.CompareDuplicate, 1, 43)
-	detSG := campaign.TrainDetector(core.DefaultConfig(), sim.Single, core.CompareTemporal, 1, 44)
+	l := lab.New()
+	detRR := l.Detector(lab.DetectorSpec{Cfg: core.DefaultConfig(), Mode: sim.RoundRobin, Compare: core.CompareAlternating, PerRoute: 1, Seed: 42})
+	detFD := l.Detector(lab.DetectorSpec{Cfg: core.DefaultConfig(), Mode: sim.Duplicate, Compare: core.CompareDuplicate, PerRoute: 1, Seed: 43})
+	detSG := l.Detector(lab.DetectorSpec{Cfg: core.DefaultConfig(), Mode: sim.Single, Compare: core.CompareTemporal, PerRoute: 1, Seed: 44})
 
 	// A permanent fault in the GPU's divider: every FDIV result has an
 	// exponent bit flipped.

@@ -7,10 +7,10 @@ package main
 import (
 	"fmt"
 
-	"diverseav/internal/campaign"
 	"diverseav/internal/core"
 	"diverseav/internal/fi"
 	"diverseav/internal/fi/instr"
+	"diverseav/internal/lab"
 	"diverseav/internal/scenario"
 	"diverseav/internal/sim"
 	"diverseav/internal/vm"
@@ -18,7 +18,7 @@ import (
 
 func main() {
 	fmt.Println("training detector...")
-	det := campaign.TrainDetector(core.DefaultConfig(), sim.RoundRobin, core.CompareAlternating, 1, 42)
+	det := lab.New().Detector(lab.DetectorSpec{Cfg: core.DefaultConfig(), Mode: sim.RoundRobin, Compare: core.CompareAlternating, PerRoute: 1, Seed: 42})
 
 	// A permanent fault in the GPU's fused-multiply-add unit: a high
 	// mantissa bit of every FMA result is flipped, in both agents (the

@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"log"
 
-	"diverseav/internal/campaign"
 	"diverseav/internal/core"
+	"diverseav/internal/lab"
 	"diverseav/internal/scenario"
 	"diverseav/internal/sim"
 )
@@ -18,7 +18,7 @@ func main() {
 	// 1. Train the DiverseAV detector on fault-free long-route driving
 	//    (one run per route keeps this quick; use more for real use).
 	fmt.Println("training detector on the long routes (~30s on one core)...")
-	det := campaign.TrainDetector(core.DefaultConfig(), sim.RoundRobin, core.CompareAlternating, 1, 42)
+	det := lab.New().Detector(lab.DetectorSpec{Cfg: core.DefaultConfig(), Mode: sim.RoundRobin, Compare: core.CompareAlternating, PerRoute: 1, Seed: 42})
 	thr, brk, str := det.Global()
 	fmt.Printf("learned global thresholds: throttle=%.3f brake=%.3f steer=%.4f\n", thr, brk, str)
 

@@ -5,23 +5,31 @@ import (
 
 	"diverseav/internal/core"
 	"diverseav/internal/fi"
-	"diverseav/internal/scenario"
+	"diverseav/internal/lab"
 	"diverseav/internal/sim"
 	"diverseav/internal/vm"
 )
 
-// Campaign runs are the slow path of the suite; these tests use tiny
-// sizes and one scenario, and skip in -short mode.
+// Campaign runs are the slow path of the suite; these tests build the
+// artifacts the analysis layer consumes through lab specs at tiny sizes
+// on one scenario, and skip in -short mode.
 
-func tinySizes() Sizes {
-	return Sizes{Transient: 2, PermReps: 1, PermStride: 11, Golden: 2, Training: 1}
+// leadSlowdown is a library scenario: a fresh lab resolves it by name.
+const leadSlowdown = "LeadSlowdown"
+
+func tinySizes() lab.Sizes {
+	return lab.Sizes{Transient: 2, PermReps: 1, PermStride: 11, Golden: 2, Training: 1}
+}
+
+func testDetector() *core.Detector {
+	return lab.New().Detector(lab.DetectorSpec{Cfg: core.DefaultConfig(), Mode: sim.RoundRobin, Compare: core.CompareAlternating, PerRoute: 1, Seed: 42})
 }
 
 func TestGoldenRunsAreDistinctAndComplete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	golden := Golden(scenario.LeadSlowdown(), sim.RoundRobin, 3, 100)
+	golden := lab.New().Golden(lab.GoldenSpec{Scenario: leadSlowdown, Mode: sim.RoundRobin, N: 3, Seed: 100})
 	if len(golden) != 3 {
 		t.Fatalf("golden = %d", len(golden))
 	}
@@ -41,7 +49,7 @@ func TestProfileNonEmpty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	prof := Profile(scenario.LeadSlowdown(), sim.RoundRobin, 5)
+	prof := lab.New().Profile(lab.ProfileSpec{Scenario: leadSlowdown, Mode: sim.RoundRobin, Seed: 5})
 	if prof.InstrCount[vm.GPU] == 0 || prof.InstrCount[vm.CPU] == 0 {
 		t.Fatalf("empty profile: %+v", prof.InstrCount)
 	}
@@ -54,7 +62,7 @@ func TestCampaignEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	c := Run(scenario.LeadSlowdown(), sim.RoundRobin, vm.GPU, fi.Permanent, tinySizes(), 7)
+	c := lab.New().Campaign(lab.CampaignSpec{Scenario: leadSlowdown, Mode: sim.RoundRobin, Target: vm.GPU, Model: fi.Permanent, Sizes: tinySizes(), Seed: 7})
 	if len(c.Runs) == 0 {
 		t.Fatal("no runs")
 	}
@@ -87,9 +95,9 @@ func TestEvaluateConfusionAccounting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	det := TrainDetector(core.DefaultConfig(), sim.RoundRobin, core.CompareAlternating, 1, 42)
-	c := Run(scenario.LeadSlowdown(), sim.RoundRobin, vm.GPU, fi.Transient, tinySizes(), 9)
-	cells := Evaluate(det, core.CompareAlternating, []*Campaign{c}, []float64{2, 5}, []int{3})
+	det := testDetector()
+	c := lab.New().Campaign(lab.CampaignSpec{Scenario: leadSlowdown, Mode: sim.RoundRobin, Target: vm.GPU, Model: fi.Transient, Sizes: tinySizes(), Seed: 9})
+	cells := Evaluate(det, core.CompareAlternating, []*lab.Campaign{c}, []float64{2, 5}, []int{3})
 	if len(cells) != 2 {
 		t.Fatalf("cells = %d", len(cells))
 	}
@@ -111,7 +119,7 @@ func TestTrainDetectorProducesThresholds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	det := TrainDetector(core.DefaultConfig(), sim.RoundRobin, core.CompareAlternating, 1, 42)
+	det := testDetector()
 	thr, brk, _ := det.Global()
 	if thr <= 0 || brk <= 0 {
 		t.Errorf("global thresholds not learned: %v %v", thr, brk)

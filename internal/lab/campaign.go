@@ -187,7 +187,6 @@ func runCampaign(l *Lab, s CampaignSpec) *Campaign {
 		base.Seed = s.Seed
 		base.Golden = stream
 		base.DisableSplice = s.DisableSplice
-		base.EarlyExitDivergence = s.EarlyExit
 		base.Propagation = s.Propagation
 	}
 	ledger := l.Ledger()

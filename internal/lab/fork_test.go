@@ -51,3 +51,59 @@ func TestForkPointSelection(t *testing.T) {
 		t.Errorf("forkPoint(step-space start 7) = %v, want the step-6 checkpoint", cp)
 	}
 }
+
+// TestForkedCampaignMatchesCold is the campaign-level hard invariant:
+// fork execution, lane batching and reconvergence splicing are pure
+// wall-clock optimizations. A transient campaign under the default
+// strategy (lane groups) must produce, run for run, byte-identical
+// traces and activation counts to the same spec run solo with splicing,
+// with splicing disabled (forked full-length runs), and with forking
+// disabled entirely (every run cold from step 0). The strategy fields
+// are not part of the key, so each variant runs in a fresh lab.
+func TestForkedCampaignMatchesCold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	sc := shortLeadSlowdown()
+	sizes := Sizes{Transient: 8, PermReps: 1, PermStride: 11, Golden: 2, Training: 1}
+	run := func(spec CampaignSpec) *Campaign {
+		l := New()
+		l.RegisterScenario(sc)
+		return l.Campaign(spec)
+	}
+	for _, mode := range []sim.Mode{sim.Single, sim.RoundRobin, sim.Duplicate} {
+		for _, target := range []vm.Device{vm.CPU, vm.GPU} {
+			t.Run(mode.String()+"/"+target.String(), func(t *testing.T) {
+				base := CampaignSpec{Scenario: sc.Name, Mode: mode, Target: target, Model: fi.Transient, Sizes: sizes, Seed: 33}
+				cold := base
+				cold.CheckpointEvery = -1
+				soloSplice := base
+				soloSplice.LaneWidth = -1
+				noSplice := base
+				noSplice.DisableSplice = true
+				ref := run(cold)
+				for _, v := range []struct {
+					name string
+					spec CampaignSpec
+				}{{"batch", base}, {"solo-splice", soloSplice}, {"no-splice", noSplice}} {
+					c := run(v.spec)
+					if len(c.Runs) != len(ref.Runs) {
+						t.Fatalf("%s: run counts differ: %d vs %d", v.name, len(c.Runs), len(ref.Runs))
+					}
+					for i, r := range c.Runs {
+						want := ref.Runs[i]
+						if r.Plan != want.Plan {
+							t.Fatalf("%s: run %d: plans differ", v.name, i)
+						}
+						if got, exp := traceHash(t, r.Result.Trace), traceHash(t, want.Result.Trace); got != exp {
+							t.Errorf("%s: run %d (%s): trace %s != cold trace %s", v.name, i, r.Plan, got, exp)
+						}
+						if r.Result.Activations != want.Result.Activations {
+							t.Errorf("%s: run %d: activations %d != cold %d", v.name, i, r.Result.Activations, want.Result.Activations)
+						}
+					}
+				}
+			})
+		}
+	}
+}

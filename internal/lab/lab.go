@@ -337,13 +337,6 @@ func (l *Lab) saveStore(s Spec, key string, store Store, v any) error {
 // implementations and the produce path agree on it.
 var errCacheMiss = ErrNotFound
 
-// Materialize computes (or store-loads) the artifact for s, memoizing
-// it under its key — the untyped counterpart of the getters below, used
-// by grid workers that receive specs over the wire and only need the
-// side effects: the artifact lands in memory and, through write-through,
-// in the shared store.
-func (l *Lab) Materialize(s Spec) { l.get(s) }
-
 // EncodeArtifact returns the wire encoding of s's already-materialized
 // artifact — the bytes a Store holds for its key. It errors if the
 // artifact has not been materialized in this lab.
@@ -357,16 +350,6 @@ func (l *Lab) EncodeArtifact(s Spec) ([]byte, error) {
 		return nil, fmt.Errorf("lab: artifact %s not materialized", key)
 	}
 	return encodeArtifact(s, key, v)
-}
-
-// provide publishes a precomputed artifact under s's key, so subsequent
-// requests are memory hits. Used by compatibility wrappers that accept
-// caller-supplied golden sets.
-func (l *Lab) provide(s Spec, v any) {
-	key := s.normalize().Key()
-	l.mu.Lock()
-	l.mem[key] = v
-	l.mu.Unlock()
 }
 
 // Require materializes every requested artifact, scheduling the full
@@ -528,4 +511,9 @@ func (l *Lab) Detector(s DetectorSpec) *core.Detector { return l.get(s).(*core.D
 
 // ProvideGolden publishes a caller-computed golden set under s's key, so
 // campaigns depending on s reuse it instead of re-simulating.
-func (l *Lab) ProvideGolden(s GoldenSpec, golden []*sim.Result) { l.provide(s, golden) }
+func (l *Lab) ProvideGolden(s GoldenSpec, golden []*sim.Result) {
+	key := s.normalize().Key()
+	l.mu.Lock()
+	l.mem[key] = golden
+	l.mu.Unlock()
+}

@@ -195,8 +195,8 @@ func TestRequireDAG(t *testing.T) {
 
 // TestCrossLabDeterminism: the same campaign spec executed in two
 // independent labs must produce identical campaigns — the artifact is a
-// pure function of the spec (the property the memoizing store and the
-// campaign-package wrappers both rely on).
+// pure function of the spec (the property the memoizing store relies
+// on).
 func TestCrossLabDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")

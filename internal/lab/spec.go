@@ -192,13 +192,6 @@ type CampaignSpec struct {
 	// the lane-equivalence invariant (see internal/sim) lane width changes
 	// wall-clock only, never the artifact.
 	LaneWidth int
-	// EarlyExit, when > 0, truncates injection runs as soon as their
-	// trajectory diverges from the golden run by at least this many meters
-	// (the hazard verdict is then terminal-decidable). Unlike splicing
-	// this changes the recorded traces, so it IS part of Key() — appended
-	// to the canonical string only when set, preserving every existing
-	// key.
-	EarlyExit float64
 	// Surface selects the fault surface the campaign injects through:
 	// "" or "instr" is the instruction-level XOR injector (the legacy
 	// default — both normalize to the same spec, and the zero value
@@ -239,9 +232,6 @@ func (s CampaignSpec) canon() string {
 	c := fmt.Sprintf("campaign|v1|%s|%s|%s|%s|tr=%d|reps=%d|stride=%d|seed=%d|golden=%s",
 		s.Scenario, s.Mode, s.Target, s.Model,
 		s.Sizes.Transient, s.Sizes.PermReps, s.Sizes.PermStride, s.Seed, s.Golden.Key())
-	if s.EarlyExit > 0 {
-		c += fmt.Sprintf("|exit=%g", s.EarlyExit)
-	}
 	if s.Surface != "" {
 		c += "|surface=" + s.Surface
 	}

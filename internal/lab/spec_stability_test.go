@@ -32,9 +32,9 @@ func TestCampaignKeyStability(t *testing.T) {
 			"campaign-suburban-35-diverseav-GPU-permanent-84b74ed74275ce15",
 		},
 		{
-			"single-gpu-transient-earlyexit",
-			CampaignSpec{Scenario: "highway-65", Mode: sim.Single, Target: vm.GPU, Model: fi.Transient, Sizes: BenchSizes(), Seed: 777, EarlyExit: 5},
-			"campaign-highway-65-single-GPU-transient-fc3fdb9fdeea7d70",
+			"single-gpu-transient",
+			CampaignSpec{Scenario: "highway-65", Mode: sim.Single, Target: vm.GPU, Model: fi.Transient, Sizes: BenchSizes(), Seed: 777},
+			"campaign-highway-65-single-GPU-transient-7aca093e18e20f6a",
 		},
 		{
 			"duplicate-cpu-permanent-explicit-golden",

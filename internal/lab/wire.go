@@ -2,9 +2,13 @@ package lab
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
+	"diverseav/internal/core"
 	"diverseav/internal/fi"
+	"diverseav/internal/sim"
+	"diverseav/internal/vm"
 )
 
 // Spec wire codec and DAG export for out-of-process execution
@@ -49,40 +53,79 @@ func EncodeSpec(s Spec) ([]byte, error) {
 
 // DecodeSpec parses a JSON wire envelope back into the Spec it names.
 // The decoded spec round-trips exactly: same normalized value, same Key.
-// A campaign naming no registered fault surface is rejected here, at
-// the trust boundary, rather than when a worker runs it.
+// Specs a worker could not run, or that would share a key with a
+// different computation, are rejected here, at the trust boundary,
+// rather than when a worker runs them: a campaign naming no registered
+// fault surface, an enum value outside its range (every unknown value
+// prints like a known one, so its key would collide with that spec's),
+// and a negative count or empty rolling window (they panic in make and
+// stats.NewRolling).
 func DecodeSpec(data []byte) (Spec, error) {
 	var env specEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("lab: spec envelope: %w", err)
 	}
+	var s Spec
 	switch env.Kind {
 	case "golden":
-		if env.Golden == nil {
-			return nil, fmt.Errorf("lab: spec envelope kind %q without payload", env.Kind)
+		if env.Golden != nil {
+			s = *env.Golden
 		}
-		return *env.Golden, nil
 	case "profile":
-		if env.Profile == nil {
-			return nil, fmt.Errorf("lab: spec envelope kind %q without payload", env.Kind)
+		if env.Profile != nil {
+			s = *env.Profile
 		}
-		return *env.Profile, nil
 	case "campaign":
-		if env.Campaign == nil {
-			return nil, fmt.Errorf("lab: spec envelope kind %q without payload", env.Kind)
+		if env.Campaign != nil {
+			s = *env.Campaign
 		}
-		if _, ok := fi.SurfaceByName(env.Campaign.surfaceName()); !ok {
-			return nil, fmt.Errorf("lab: campaign surface %q is not registered", env.Campaign.Surface)
-		}
-		return *env.Campaign, nil
 	case "detector":
-		if env.Detector == nil {
-			return nil, fmt.Errorf("lab: spec envelope kind %q without payload", env.Kind)
+		if env.Detector != nil {
+			s = *env.Detector
 		}
-		return *env.Detector, nil
 	default:
 		return nil, fmt.Errorf("lab: unknown spec envelope kind %q", env.Kind)
 	}
+	if s == nil {
+		return nil, fmt.Errorf("lab: spec envelope kind %q without payload", env.Kind)
+	}
+	if err := checkSpec(s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// checkSpec reports every field of s that DecodeSpec must reject.
+func checkSpec(s Spec) error {
+	var errs []error
+	check := func(ok bool, format string, args ...any) {
+		if !ok {
+			errs = append(errs, fmt.Errorf("lab: %s spec: "+format, append([]any{s.kind()}, args...)...))
+		}
+	}
+	mode := func(m sim.Mode) { check(m >= sim.Single && m <= sim.Duplicate, "unknown agent mode %d", m) }
+	switch s := s.(type) {
+	case GoldenSpec:
+		mode(s.Mode)
+		check(s.N >= 0, "negative N %d", s.N)
+	case ProfileSpec:
+		mode(s.Mode)
+	case CampaignSpec:
+		mode(s.Mode)
+		check(s.Target <= vm.GPU, "unknown target %d", s.Target)
+		check(s.Model <= fi.Permanent, "unknown fault model %d", s.Model)
+		_, ok := fi.SurfaceByName(s.surfaceName())
+		check(ok, "surface %q is not registered", s.Surface)
+		z := s.Sizes
+		check(min(z.Transient, z.PermReps, z.PermStride, z.Golden, z.Training) >= 0, "negative size in %+v", z)
+		errs = append(errs, checkSpec(s.Golden))
+	case DetectorSpec:
+		mode(s.Mode)
+		check(s.Compare >= core.CompareAlternating && s.Compare <= core.CompareTemporal, "unknown compare mode %d", s.Compare)
+		check(s.PerRoute >= 0, "negative PerRoute %d", s.PerRoute)
+		check(s.Cfg.RW >= 1, "rolling window %d < 1", s.Cfg.RW) // stats.NewRolling panics
+	}
+	return errors.Join(errs...)
 }
 
 // PlanNode is one job of an exported DAG: a normalized spec, its

@@ -18,7 +18,7 @@ func TestSpecWireRoundTrip(t *testing.T) {
 		ProfileSpec{Scenario: "GhostCutIn", Mode: sim.Duplicate, Seed: 7},
 		CampaignSpec{
 			Scenario: "LeadSlowdown", Mode: sim.RoundRobin, Target: vm.GPU, Model: fi.Transient,
-			Sizes: shortSizes(), Seed: 33, LaneWidth: 4, DisableSplice: true, EarlyExit: 2.5,
+			Sizes: shortSizes(), Seed: 33, LaneWidth: 4, DisableSplice: true,
 		},
 		DetectorSpec{Cfg: core.DefaultConfig(), Mode: sim.RoundRobin, Compare: core.CompareAlternating, PerRoute: 1, Seed: 42},
 	}
@@ -46,6 +46,25 @@ func TestDecodeSpecRejects(t *testing.T) {
 		`{"kind":"teleporter"}`,
 		`{"kind":"campaign"}`, // kind without payload
 		`{"kind":"campaign","campaign":{"Scenario":"LeadSlowdown","Surface":"nosuch"}}`, // unregistered surface
+		// Out-of-range enums print like valid ones: Mode 7, Target 9,
+		// Model 4 would key as the Mode 0, Target 0, Model 0 campaign.
+		`{"kind":"campaign","campaign":{"Scenario":"suburban-35","Mode":7,"Target":9,"Model":4}}`,
+		`{"kind":"campaign","campaign":{"Scenario":"suburban-35","Mode":-1}}`,
+		`{"kind":"campaign","campaign":{"Scenario":"suburban-35","Target":2}}`,
+		`{"kind":"campaign","campaign":{"Scenario":"suburban-35","Model":2}}`,
+		`{"kind":"golden","golden":{"Scenario":"LeadSlowdown","Mode":3,"N":1}}`,
+		`{"kind":"profile","profile":{"Scenario":"LeadSlowdown","Mode":3}}`,
+		`{"kind":"detector","detector":{"Cfg":{"rw":3},"Mode":3,"PerRoute":1}}`,
+		`{"kind":"detector","detector":{"Cfg":{"rw":3},"Compare":3,"PerRoute":1}}`,
+		// Negative counts panic in make on the worker, an empty rolling
+		// window in stats.NewRolling.
+		`{"kind":"golden","golden":{"Scenario":"LeadSlowdown","N":-1}}`,
+		`{"kind":"campaign","campaign":{"Scenario":"suburban-35","Sizes":{"Transient":-1}}}`,
+		`{"kind":"campaign","campaign":{"Scenario":"suburban-35","Sizes":{"PermReps":-1}}}`,
+		`{"kind":"campaign","campaign":{"Scenario":"suburban-35","Sizes":{"Golden":-3}}}`,
+		`{"kind":"campaign","campaign":{"Scenario":"suburban-35","Golden":{"Scenario":"suburban-35","N":-2}}}`,
+		`{"kind":"detector","detector":{"Cfg":{"rw":3},"PerRoute":-1}}`,
+		`{"kind":"detector","detector":{"Cfg":{"rw":0},"PerRoute":1}}`,
 	} {
 		if _, err := DecodeSpec([]byte(bad)); err == nil {
 			t.Errorf("DecodeSpec(%q) accepted garbage", bad)
@@ -97,4 +116,30 @@ func TestPlanClosure(t *testing.T) {
 	if !reflect.DeepEqual(Plan(camp), plan) {
 		t.Error("Plan is not deterministic across calls")
 	}
+}
+
+// FuzzDecodeSpec drives the grid's trust boundary with arbitrary bytes:
+// DecodeSpec must never panic, and any envelope it accepts must
+// re-encode and decode to a spec with the same Key(), so a worker
+// computes exactly the artifact the coordinator named. `go test` runs
+// the seed corpus in testdata/fuzz/FuzzDecodeSpec; run
+// `go test -fuzz FuzzDecodeSpec ./internal/lab` to explore beyond it.
+func FuzzDecodeSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSpec(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeSpec(s)
+		if err != nil {
+			t.Fatalf("accepted %q but cannot re-encode it: %v", data, err)
+		}
+		back, err := DecodeSpec(enc)
+		if err != nil {
+			t.Fatalf("accepted %q but rejects its re-encoding %q: %v", data, enc, err)
+		}
+		if back.Key() != s.Key() {
+			t.Fatalf("%q: re-encoding changed the key: %s vs %s", data, back.Key(), s.Key())
+		}
+	})
 }

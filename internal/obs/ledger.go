@@ -105,8 +105,10 @@ const (
 	// ExitSplice: the forked run reconverged bit-exactly with the golden
 	// run and grafted its suffix instead of simulating it.
 	ExitSplice = "splice"
-	// ExitEarly: the run's verdict became terminal-decidable (trajectory
-	// divergence crossed the configured threshold) and simulation stopped.
+	// ExitEarly: the run stopped once its trajectory divergence crossed
+	// a configured threshold. No current writer emits it; Validate keeps
+	// accepting it so ledgers written while the option existed still
+	// validate.
 	ExitEarly = "early-exit"
 )
 
@@ -148,12 +150,12 @@ type Span struct {
 	Worker  int      `json:"worker"`
 	// SimulatedSteps is the [from, to) step range the run actually
 	// simulated (phase "run" only; schema >= 2). A spliced run's range
-	// ends at the reconvergence step, an early-exited run's at the
-	// truncation step — everything the trace holds beyond it came from
-	// the golden suffix or was never produced.
+	// ends at the reconvergence step — everything the trace holds beyond
+	// it came from the golden suffix.
 	SimulatedSteps []int `json:"simulated_steps,omitempty"`
 	// ExitReason is why simulation stopped short of the scenario end:
-	// ExitSplice or ExitEarly. Empty for full-length runs.
+	// ExitSplice (ExitEarly in older ledgers). Empty for full-length
+	// runs.
 	ExitReason string `json:"exit_reason,omitempty"`
 	// Surface names the fault surface a run span injected through
 	// (phase "run" only; schema >= 4): SurfaceInstr, SurfaceSensor, or

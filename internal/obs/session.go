@@ -105,9 +105,9 @@ func ServeDebug(addr string) (string, error) {
 
 // WriteSummary prints the human-readable flight-recorder digest: the
 // headline rates the campaigns care about (tier-1 kernel hit rate,
-// batch/fork/cold split, lane occupancy, splice and early-exit counts,
-// checkpoint pool reuse, lab store hits) followed
-// by every metric in the snapshot, sorted.
+// batch/fork/cold split, lane occupancy, splice counts, checkpoint pool
+// reuse, lab store hits) followed by every metric in the snapshot,
+// sorted.
 func WriteSummary(w io.Writer, snap map[string]int64, wall time.Duration) {
 	fmt.Fprintf(w, "--- flight recorder (%.1fs wall) ---\n", wall.Seconds())
 	if runs := snap["sim.runs"]; runs > 0 {
@@ -137,9 +137,9 @@ func WriteSummary(w io.Writer, snap map[string]int64, wall time.Duration) {
 		fmt.Fprintf(w, "; pack replay %d steps (%d checkpoint jumps)\n",
 			snap["sim.pack_steps"], snap["sim.pack_restores"])
 	}
-	if spliced := snap["sim.runs_spliced"]; spliced > 0 || snap["sim.runs_early_exit"] > 0 {
-		fmt.Fprintf(w, "divergence: %d runs spliced (%d golden steps grafted), %d early exits",
-			spliced, snap["sim.steps_spliced"], snap["sim.runs_early_exit"])
+	if spliced := snap["sim.runs_spliced"]; spliced > 0 {
+		fmt.Fprintf(w, "divergence: %d runs spliced (%d golden steps grafted)",
+			spliced, snap["sim.steps_spliced"])
 		if rej := snap["sim.splice_rejects"]; rej > 0 {
 			fmt.Fprintf(w, ", %d digest collisions rejected", rej)
 		}

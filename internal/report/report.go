@@ -30,7 +30,7 @@ import (
 
 // Options configures a study.
 type Options struct {
-	Sizes campaign.Sizes
+	Sizes lab.Sizes
 	TDs   []float64
 	RWs   []int
 	Seed  uint64
@@ -66,7 +66,7 @@ type Options struct {
 // DefaultOptions is the scale used by cmd/experiments.
 func DefaultOptions() Options {
 	return Options{
-		Sizes: campaign.DefaultSizes(),
+		Sizes: lab.DefaultSizes(),
 		TDs:   []float64{1, 2, 3, 4, 5},
 		RWs:   core.DefaultRWs(),
 		Seed:  2022,
@@ -76,7 +76,7 @@ func DefaultOptions() Options {
 // BenchOptions keeps a full study inside a few minutes on one core.
 func BenchOptions() Options {
 	o := DefaultOptions()
-	o.Sizes = campaign.BenchSizes()
+	o.Sizes = lab.BenchSizes()
 	o.TDs = []float64{1, 2, 3}
 	o.RWs = []int{3, 10, 30}
 	return o
@@ -101,9 +101,9 @@ type Study struct {
 	SingleDet *core.Detector // single-agent temporal baseline
 	// RR holds the twelve DiverseAV campaigns (2 targets × 2 models × 3
 	// scenarios); FD and Single hold the GPU campaigns of the baselines.
-	RR     []*campaign.Campaign
-	FD     []*campaign.Campaign
-	Single []*campaign.Campaign
+	RR     []*lab.Campaign
+	FD     []*lab.Campaign
+	Single []*lab.Campaign
 }
 
 // studySpecs is the study's declarative artifact manifest. Every seed is
@@ -203,8 +203,8 @@ func NewStudy(o Options) *Study {
 }
 
 // GPUCampaigns returns the round-robin campaigns targeting the GPU.
-func (s *Study) GPUCampaigns() []*campaign.Campaign {
-	var out []*campaign.Campaign
+func (s *Study) GPUCampaigns() []*lab.Campaign {
+	var out []*lab.Campaign
 	for _, c := range s.RR {
 		if c.Target == vm.GPU {
 			out = append(out, c)
@@ -220,7 +220,7 @@ func (s *Study) Table1() string {
 	fmt.Fprintf(&b, "Table I — FI campaign summary (DiverseAV dual-agent mode, td = 2 m)\n")
 	fmt.Fprintf(&b, "%-14s %-4s %-12s %7s %10s %6s %6s %6s\n",
 		"FI Target", "", "Scenario", "Active", "HangCrash", "Total", "Acc", "TrajV")
-	order := func(c *campaign.Campaign) int {
+	order := func(c *lab.Campaign) int {
 		k := 0
 		if c.Target == vm.CPU {
 			k += 2
@@ -230,7 +230,7 @@ func (s *Study) Table1() string {
 		}
 		return k
 	}
-	rows := append([]*campaign.Campaign(nil), s.RR...)
+	rows := append([]*lab.Campaign(nil), s.RR...)
 	sort.SliceStable(rows, func(i, j int) bool { return order(rows[i]) < order(rows[j]) })
 	for _, c := range rows {
 		r := c.Table1Row(2)
@@ -313,7 +313,7 @@ func (s *Study) MissedHazards() string {
 // Comparisons renders the §VI-B/C baseline comparison at td = 2 m.
 func (s *Study) Comparisons() string {
 	var b strings.Builder
-	eval := func(name string, det *core.Detector, mode core.CompareMode, camps []*campaign.Campaign) {
+	eval := func(name string, det *core.Detector, mode core.CompareMode, camps []*lab.Campaign) {
 		cells := campaign.Evaluate(det, mode, camps, []float64{2}, []int{det.Cfg.RW})
 		c := cells[0]
 		fmt.Fprintf(&b, "%-22s P=%.2f R=%.2f F1=%.2f (TP=%d FP=%d FN=%d, golden alarms=%d)\n",

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"diverseav/internal/campaign"
+	"diverseav/internal/lab"
 )
 
 func TestOptionsDefaults(t *testing.T) {
@@ -16,7 +16,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if b.Sizes.Transient >= o.Sizes.Transient {
 		t.Error("bench sizes not smaller than defaults")
 	}
-	if b.Sizes != campaign.BenchSizes() {
+	if b.Sizes != lab.BenchSizes() {
 		t.Error("bench options do not use bench sizes")
 	}
 }

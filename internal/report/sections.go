@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"strings"
 
-	"diverseav/internal/campaign"
 	"diverseav/internal/fabric"
 	"diverseav/internal/fi"
 	"diverseav/internal/fi/instr"
 	"diverseav/internal/kitti"
+	"diverseav/internal/lab"
 	"diverseav/internal/scenario"
 	"diverseav/internal/sensor"
 	"diverseav/internal/sim"
@@ -122,10 +122,11 @@ func Fig2(o Options) string {
 func Fig6(o Options) string {
 	var b strings.Builder
 	b.WriteString("Fig 6 — max trajectory divergence vs mean original trajectory (golden runs)\n")
+	l := lab.New()
 	for si, sc := range scenario.SafetyCritical() {
 		base := o.Seed + uint64(si)*977
-		orig := campaign.Golden(sc, sim.Single, o.Sizes.Golden, base)
-		ours := campaign.Golden(sc, sim.RoundRobin, o.Sizes.Golden, base+13)
+		orig := l.Golden(lab.GoldenSpec{Scenario: sc.Name, Mode: sim.Single, N: o.Sizes.Golden, Seed: base})
+		ours := l.Golden(lab.GoldenSpec{Scenario: sc.Name, Mode: sim.RoundRobin, N: o.Sizes.Golden, Seed: base + 13})
 		baseline := sim.MeanTrajectory(tracesOf(orig))
 		var dOrig, dOurs []float64
 		for _, r := range orig {

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"diverseav/internal/campaign"
+	"diverseav/internal/lab"
 )
 
 // TestGenerateUnknownExperiment pins the -e validation: unknown names
@@ -88,7 +88,7 @@ func firstDiff(got, want string) string {
 // doubled so the three study pairs fit the package's test budget.
 func studyDeterminismOpts() Options {
 	o := BenchOptions()
-	o.Sizes = campaign.Sizes{Transient: 2, PermReps: 1, PermStride: 48, Golden: 1, Training: 1}
+	o.Sizes = lab.Sizes{Transient: 2, PermReps: 1, PermStride: 48, Golden: 1, Training: 1}
 	o.TDs = []float64{2}
 	o.RWs = []int{3}
 	return o

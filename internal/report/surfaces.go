@@ -70,7 +70,7 @@ func Surfaces(o Options) string {
 	fmt.Fprintf(&b, "%-12s %-10s %7s %7s %5s %5s %7s %9s\n",
 		"Surface", "Model", "Inject", "Active", "SDC", "DUE", "Masked", "Inactive")
 	type tally struct{ total, active, sdc, due, masked, inactive int }
-	camps := make(map[string][]*campaign.Campaign, len(surfaceOrder))
+	camps := make(map[string][]*lab.Campaign, len(surfaceOrder))
 	for _, name := range surfaceOrder {
 		byModel := map[fi.Model]*tally{fi.Permanent: {}, fi.Transient: {}}
 		for _, cs := range perSurface[name] {

@@ -41,7 +41,7 @@ var cohortRuns atomic.Uint64
 //     snapshot, they step the closed loop in sim-level lockstep, with
 //     agent execution batched through vm.RunLanes (agent.StepLanes) so
 //     instruction decode is amortized over the cohort. Reconvergence
-//     splicing and early-exit verdicts compose per lane, and a lane
+//     splicing and collision verdicts compose per lane, and a lane
 //     whose injector goes quiescent narrows its hook scope to nothing
 //     (fi/instr) and rejoins the hook-free fast path at once.
 //
@@ -137,7 +137,6 @@ func RunLanesFrom(cp *Checkpoint, cfgs []Config, detach []int) ([]*Result, error
 	packCfg.Surface = nil
 	packCfg.Golden = nil
 	packCfg.DisableSplice = false
-	packCfg.EarlyExitDivergence = 0
 	pack := newRunner(packCfg)
 	pos := 0
 	if cp != nil {
@@ -236,8 +235,8 @@ func runLane(cfg Config, snap *Checkpoint, start int) (*Result, error) {
 // all live lanes before the next phase starts, which lets the agent
 // phase hand every lane's machine for a given agent id to vm.RunLanes in
 // one call — one instruction decode amortized over the cohort. A lane
-// leaves the cohort when it splices, collides, DUEs, or early-exits;
-// the rest keep stepping.
+// leaves the cohort when it splices, collides, or DUEs; the rest keep
+// stepping.
 func runCohort(cfgs []Config, snap *Checkpoint, start int) ([]*Result, error) {
 	n := len(cfgs)
 	lanes := make([]*runner, n)
@@ -328,8 +327,7 @@ func runCohort(cfgs []Config, snap *Checkpoint, start int) ([]*Result, error) {
 				}
 			}
 		}
-		// Finish phase: actuation, trace record, collision and early-exit
-		// verdicts.
+		// Finish phase: actuation, trace record, collision verdict.
 		for i, ln := range lanes {
 			if res[i] != nil {
 				continue

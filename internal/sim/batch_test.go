@@ -150,48 +150,6 @@ func TestLaneEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestLaneEarlyExitEquivalence: the early-exit verdict composes per
-// lane — a batched lane with EarlyExitDivergence set must match the
-// solo divergence-aware run of the identical config (early exit changes
-// the recorded trace, so the comparator carries the same settings).
-func TestLaneEarlyExitEquivalence(t *testing.T) {
-	sc := shortScenario()
-	const seed = 4242
-	const every = 40
-	mode := RoundRobin
-
-	prof, stream := profileStream(sc, mode, seed, every)
-	lanes := buildLanes(t, prof, mode)[1:3] // the cohort pair
-
-	cfgs := make([]Config, len(lanes))
-	detach := make([]int, len(lanes))
-	for i, lp := range lanes {
-		cfgs[i] = Config{
-			Scenario: sc, Mode: mode, Seed: seed,
-			Surface: instr.Plan{P: lp.plan, Agent: lp.agent},
-			Golden:  stream, EarlyExitDivergence: 0.05,
-		}
-		detach[i] = lp.detach
-	}
-	results, err := RunLanesFrom(nil, cfgs, detach)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, lp := range lanes {
-		solo := Run(cfgs[i])
-		if got, want := hashTrace(t, results[i].Trace), hashTrace(t, solo.Trace); got != want {
-			t.Errorf("lane %s: early-exit trace diverged from solo", lp.name)
-		}
-		// Exec is execution metadata: the lane legitimately skips the
-		// prefix (SimulatedFrom = detach step) but must stop for the same
-		// reason at the same step as the solo run.
-		if results[i].Exec.ExitReason != solo.Exec.ExitReason ||
-			results[i].Exec.SimulatedTo != solo.Exec.SimulatedTo {
-			t.Errorf("lane %s: exec %+v, solo %+v", lp.name, results[i].Exec, solo.Exec)
-		}
-	}
-}
-
 // TestRunLanesFromValidation: the argument contract is enforced before
 // any simulation happens.
 func TestRunLanesFromValidation(t *testing.T) {

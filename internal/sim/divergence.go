@@ -43,13 +43,11 @@ func (g *GoldenStream) at(step int) *Checkpoint {
 	return nil
 }
 
-// Exit reasons, re-exported from obs so sim callers need not know the
-// ledger vocabulary. An empty ExecInfo.ExitReason means the run
-// simulated to its natural end (completion, collision, or DUE).
-const (
-	ExitSplice = obs.ExitSplice
-	ExitEarly  = obs.ExitEarly
-)
+// ExitSplice is the one exit reason a run can report, re-exported from
+// obs so sim callers need not know the ledger vocabulary. An empty
+// ExecInfo.ExitReason means the run simulated to its natural end
+// (completion, collision, or DUE).
+const ExitSplice = obs.ExitSplice
 
 // ExecInfo describes how a run was executed: the step range actually
 // simulated and why simulation stopped, if it stopped short. It is
@@ -65,8 +63,7 @@ type ExecInfo struct {
 	// step and everything after it came from the golden suffix.
 	SimulatedFrom int
 	SimulatedTo   int
-	// ExitReason is "" (ran to its natural end), ExitSplice, or
-	// ExitEarly.
+	// ExitReason is "" (ran to its natural end) or ExitSplice.
 	ExitReason string
 	// SplicedSteps counts the golden-suffix steps grafted onto the trace
 	// (ExitSplice only).
@@ -228,20 +225,4 @@ func (r *runner) splice(step, start int) *Result {
 	}
 	r.publishRun(res)
 	return res
-}
-
-// divergedBeyond reports whether the ego's position at `step` (just
-// recorded as s) has departed from the golden trajectory by at least the
-// early-exit threshold. Once true the run's hazard verdict is
-// terminal-decidable for every trajectory-divergence threshold td <= the
-// configured one: MaxTrajectoryDivergence is a running maximum, so the
-// truncated trace already certifies the violation.
-func (r *runner) divergedBeyond(step int, x, y float64) bool {
-	gs := r.golden.Trace.Steps
-	if step >= len(gs) {
-		return false
-	}
-	dx, dy := x-gs[step].X, y-gs[step].Y
-	thr := r.cfg.EarlyExitDivergence
-	return dx*dx+dy*dy >= thr*thr
 }

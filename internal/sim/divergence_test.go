@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"diverseav/internal/fi"
-	"diverseav/internal/fi/instr"
-	"diverseav/internal/geom"
 	"diverseav/internal/scenario"
 	"diverseav/internal/vm"
 )
@@ -247,71 +245,6 @@ func TestNoFireAfterSplice(t *testing.T) {
 		}
 	}
 	t.Fatal("search exhausted: no transient plan both activated and spliced; the quiescence path is untested")
-}
-
-// TestEarlyExit pins the opt-in divergence-verdict truncation: with
-// EarlyExitDivergence set, a run whose trajectory departs from the
-// golden path by at least the threshold stops simulating, records
-// ExitEarly, and its truncated trace (a bit-exact prefix of the
-// full-length trace) already certifies the hazard verdict —
-// MaxTrajectoryDivergence over the prefix meets the threshold.
-//
-// One-shot transients in these scenarios either mask completely or DUE,
-// so the divergence source is a permanent high-bit FMUL/FMA corruption:
-// a sustained control bias that walks the ego off the golden path
-// without crashing. A permanent fault is never splice-quiescent, which
-// also isolates the early-exit path from the splice path.
-func TestEarlyExit(t *testing.T) {
-	sc := *scenario.LeadSlowdown()
-	sc.Duration = 5
-	const seed = 1234
-	const thr = 1.0
-
-	stream := goldenStream(&sc, Single, seed, 40)
-	goldenPos := make([]geom.Vec2, len(stream.Trace.Steps))
-	for i, s := range stream.Trace.Steps {
-		goldenPos[i] = geom.V2(s.X, s.Y)
-	}
-
-	plans := []fi.Plan{
-		{Target: vm.GPU, Model: fi.Permanent, Opcode: vm.FMUL, Bit: 50},
-		{Target: vm.GPU, Model: fi.Permanent, Opcode: vm.FMA, Bit: 50},
-		{Target: vm.GPU, Model: fi.Permanent, Opcode: vm.FMUL, Bit: 48},
-	}
-	for _, plan := range plans {
-		plan := plan
-		cfg := Config{Scenario: &sc, Mode: Single, Seed: seed, Surface: instr.Plan{P: plan}}
-		cold := Run(cfg)
-		if cold.Trace.DUE() || MaxTrajectoryDivergence(cold.Trace, goldenPos) < thr {
-			continue // this plan never diverges far enough to exit early
-		}
-
-		eCfg := cfg
-		eCfg.Golden = stream
-		eCfg.EarlyExitDivergence = thr
-		res := Run(eCfg)
-		if res.Exec.ExitReason != ExitEarly {
-			// Diverged but ended (collision/DUE) at the very step the
-			// threshold was crossed; try another plan for a clean case.
-			continue
-		}
-		if n, m := len(res.Trace.Steps), len(cold.Trace.Steps); n >= m {
-			t.Fatalf("%v: early exit did not truncate (%d >= %d steps)", plan, n, m)
-		}
-		for i, s := range res.Trace.Steps {
-			if s != cold.Trace.Steps[i] {
-				t.Fatalf("%v: truncated trace is not a bit-exact prefix (step %d differs)", plan, i)
-			}
-		}
-		if d := MaxTrajectoryDivergence(res.Trace, goldenPos); d < thr {
-			t.Fatalf("%v: early exit at divergence %.3f < threshold %.3f — verdict not yet decidable", plan, d, thr)
-		}
-		if res.Exec.SimulatedTo != res.Trace.EndStep+1 {
-			t.Errorf("%v: simulated range ends at %d, trace at %d", plan, res.Exec.SimulatedTo, res.Trace.EndStep+1)
-		}
-		return
-	}
-	t.Fatal("search exhausted: no severe plan produced a clean early exit")
 }
 
 // TestGoldenStreamIdentityGuard: a golden stream recorded under a

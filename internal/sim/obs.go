@@ -27,7 +27,6 @@ type simInstruments struct {
 
 	// Divergence-aware execution.
 	runsSpliced   *obs.Counter // runs that ended in a reconvergence splice
-	runsEarlyExit *obs.Counter // runs truncated by the early-exit verdict
 	stepsSpliced  *obs.Counter // golden-suffix steps grafted instead of simulated
 	spliceRejects *obs.Counter // digest collisions rejected by the full compare
 
@@ -66,7 +65,6 @@ func instruments() *simInstruments {
 			instrBatched: obs.C("vm.instr_batched"),
 
 			runsSpliced:   obs.C("sim.runs_spliced"),
-			runsEarlyExit: obs.C("sim.runs_early_exit"),
 			stepsSpliced:  obs.C("sim.steps_spliced"),
 			spliceRejects: obs.C("sim.splice_rejects"),
 
@@ -92,18 +90,15 @@ func (r *runner) publishRun(res *Result) {
 		return
 	}
 	in.runs.Inc()
-	// sim.steps counts steps the loop actually executed: a spliced or
-	// early-exited run contributes only its simulated range, which is
-	// exactly what makes the campaign steps/s honest about splice wins.
+	// sim.steps counts steps the loop actually executed: a spliced run
+	// contributes only its simulated range, which is exactly what makes
+	// the campaign steps/s honest about splice wins.
 	if executed := res.Exec.SimulatedTo - res.Exec.SimulatedFrom; executed > 0 {
 		in.steps.Add(uint64(executed))
 	}
-	switch res.Exec.ExitReason {
-	case ExitSplice:
+	if res.Exec.ExitReason == ExitSplice {
 		in.runsSpliced.Inc()
 		in.stepsSpliced.Add(uint64(res.Exec.SplicedSteps))
-	case ExitEarly:
-		in.runsEarlyExit.Inc()
 	}
 	if res.Trace.Collided() {
 		in.collisions.Inc()

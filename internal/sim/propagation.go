@@ -220,9 +220,8 @@ func (r *runner) propActivationPoll(step int) {
 
 // buildPropagation assembles the run's record at finish time. The
 // trajectory aggregates are computed over the final recorded trace —
-// which is byte-identical whether the run spliced, early-exited per its
-// config, or simulated to the end — so the record is invariant to
-// execution strategy.
+// which is byte-identical whether the run spliced or simulated to the
+// end — so the record is invariant to execution strategy.
 func (r *runner) buildPropagation() *Propagation {
 	t := r.prop
 	if t == nil || t.firstStep < 0 {

@@ -114,16 +114,9 @@ type Config struct {
 	// artifact cache key.
 	Golden *GoldenStream
 	// DisableSplice turns reconvergence splicing off while keeping Golden
-	// available for early-exit checks: the escape hatch for A/B-ing spliced
-	// against full-length execution.
+	// set: the escape hatch for A/B-ing spliced against full-length
+	// execution.
 	DisableSplice bool
-	// EarlyExitDivergence, when > 0 and Golden is set, truncates the run as
-	// soon as the ego's position diverges from the golden trajectory by at
-	// least this many meters: past that point the run's hazard verdict is
-	// terminal-decidable (trajectory divergence is a running maximum).
-	// Unlike splicing this changes the recorded trace, so campaign specs
-	// must key on it.
-	EarlyExitDivergence float64
 	// Propagation, when set on a divergence-aware injection run (Golden
 	// non-nil, Surface set), arms the fault-propagation tracer:
 	// a read-only probe that, at every golden checkpoint step, compares
@@ -179,7 +172,6 @@ type runner struct {
 	frameHooks  []fi.FrameHook
 	outputHooks []fi.OutputHook
 	golden      *GoldenStream
-	earlyExit   bool
 	// prop is the fault-propagation tracer's state (nil unless
 	// Config.Propagation armed it): read-only observation, never input
 	// to execution.
@@ -381,7 +373,7 @@ func (r *runner) run(start int) *Result {
 }
 
 // stepOnce runs one full closed-loop step; a non-nil result means the
-// run ended at this step (DUE, collision, or early exit).
+// run ended at this step (DUE or collision).
 func (r *runner) stepOnce(step int) *Result {
 	r.stepWorld(step)
 	if res := r.stepAgents(step); res != nil {
@@ -499,8 +491,7 @@ func (r *runner) applyAgentOut(id, step int, in *agent.Input, out *agent.Output)
 }
 
 // stepFinish profiles, actuates, records the trace step, and evaluates
-// the collision and early-exit verdicts; a non-nil result finishes the
-// run.
+// the collision verdict; a non-nil result finishes the run.
 func (r *runner) stepFinish(step int) *Result {
 	cfg, env, tr := r.cfg, r.env, r.tr
 	dt := 1.0 / Hz
@@ -548,15 +539,6 @@ func (r *runner) stepFinish(step int) *Result {
 			return r.finish(r.start)
 		}
 	}
-
-	// Early exit: the trajectory has departed from the golden run far
-	// enough that the hazard verdict is already decided — the rest of
-	// the run cannot change it.
-	if r.golden != nil && cfg.EarlyExitDivergence > 0 &&
-		r.divergedBeyond(step, s.Pose.Pos.X, s.Pose.Pos.Y) {
-		r.earlyExit = true
-		return r.finish(r.start)
-	}
 	return nil
 }
 
@@ -573,9 +555,6 @@ func (r *runner) finish(start int) *Result {
 		Checkpoints: r.checkpoints,
 		Exec:        ExecInfo{SimulatedFrom: start, SimulatedTo: r.tr.EndStep + 1},
 		Propagation: r.buildPropagation(),
-	}
-	if r.earlyExit {
-		res.Exec.ExitReason = ExitEarly
 	}
 	r.publishRun(res)
 	return res
