@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"diverseav/internal/stats"
 	"diverseav/internal/trace"
@@ -128,28 +129,42 @@ func NewDetector(cfg Config, mode CompareMode) *Detector {
 }
 
 // Train learns thresholds from fault-free traces for every window size
-// in rws (nil = DefaultRWs plus the configured RW).
+// in rws (nil = DefaultRWs plus the configured RW). Each trace's
+// divergence series is computed once and shared by every window size.
 func (d *Detector) Train(traces []*trace.Trace, mode CompareMode, rws ...int) {
 	if len(rws) == 0 {
-		rws = append(DefaultRWs(), d.Cfg.RW)
-	}
-	for _, rw := range rws {
-		set := d.Sets[rw]
-		if set == nil {
-			set = newLutSet()
-			d.Sets[rw] = set
+		rws = DefaultRWs()
+		if !slices.Contains(rws, d.Cfg.RW) {
+			rws = append(rws, d.Cfg.RW)
 		}
-		for _, tr := range traces {
-			d.trainOne(set, tr, mode, rw)
+	}
+	sets := make([]*lutSet, len(rws))
+	for i, rw := range rws {
+		sets[i] = d.set(rw)
+	}
+	for _, tr := range traces {
+		samples := Divergences(tr, mode)
+		for i, rw := range rws {
+			d.trainOne(sets[i], samples, rw)
 		}
 	}
 }
 
-func (d *Detector) trainOne(set *lutSet, tr *trace.Trace, mode CompareMode, rw int) {
+// set returns the threshold set for window size rw, creating it empty.
+func (d *Detector) set(rw int) *lutSet {
+	set := d.Sets[rw]
+	if set == nil {
+		set = newLutSet()
+		d.Sets[rw] = set
+	}
+	return set
+}
+
+func (d *Detector) trainOne(set *lutSet, samples []Sample, rw int) {
 	rwThr := stats.NewRolling(rw)
 	rwBrk := stats.NewRolling(rw)
 	rwStr := stats.NewRolling(rw)
-	for i, s := range Divergences(tr, mode) {
+	for i, s := range samples {
 		rwThr.Push(s.DThrottle)
 		rwBrk.Push(s.DBrake)
 		rwStr.Push(s.DSteer)
@@ -175,6 +190,30 @@ func (d *Detector) trainOne(set *lutSet, tr *trace.Trace, mode CompareMode, rw i
 			if v > set.GStr {
 				set.GStr = v
 			}
+		}
+	}
+}
+
+// Merge folds other's learned thresholds into d, per window size: a
+// per-bin maximum plus the global maxima. Thresholds are maxima, so
+// detectors trained on disjoint sets of traces merge into exactly the
+// detector Train learns over all of them, whatever the merge order.
+func (d *Detector) Merge(other *Detector) {
+	for rw, o := range other.Sets {
+		set := d.set(rw)
+		mergeMax(set.Thr, o.Thr)
+		mergeMax(set.Brk, o.Brk)
+		mergeMax(set.Str, o.Str)
+		set.GThr = max(set.GThr, o.GThr)
+		set.GBrk = max(set.GBrk, o.GBrk)
+		set.GStr = max(set.GStr, o.GStr)
+	}
+}
+
+func mergeMax(dst, src map[int]float64) {
+	for k, v := range src {
+		if cur, ok := dst[k]; !ok || v > cur {
+			dst[k] = v
 		}
 	}
 }

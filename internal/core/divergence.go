@@ -51,9 +51,9 @@ type Sample struct {
 
 // Divergences extracts the divergence series from a trace under the
 // given comparison mode. Steps without a valid comparison pair are
-// skipped.
+// skipped. The series is built in one allocation sized to the trace.
 func Divergences(tr *trace.Trace, mode CompareMode) []Sample {
-	var out []Sample
+	out := make([]Sample, 0, len(tr.Steps))
 	switch mode {
 	case CompareDuplicate:
 		for i, s := range tr.Steps {

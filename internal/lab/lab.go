@@ -6,12 +6,16 @@
 //
 // A Lab is a memoizing artifact store plus a dependency-aware scheduler.
 // Require expands a set of requested specs into a job DAG (campaigns
-// depend on their golden sets and, for cold/permanent execution, on
+// depend on their golden sets and, for cold transient execution, on
 // shared profiling passes) and executes independent jobs concurrently on
-// the internal/par pool; artifacts are computed once per key and served
-// from memory afterwards. With SetDisk, artifacts additionally persist
-// as gob files, so a warm cache makes repeat invocations
-// simulation-free. Results are deterministic regardless of worker count
+// the internal/par pool, from the first Require of a fresh process on;
+// artifacts are computed once per key and served from memory afterwards.
+// Detector training runs are deliberately not DAG artifacts: a memoized
+// training trace would stay in memory for the lab's lifetime, so a
+// detector job streams its runs into partial detectors instead and
+// keeps concurrent jobs inside the study's peak-memory budget. With
+// SetDisk, artifacts additionally persist as gob files, so a warm cache
+// makes repeat invocations simulation-free. Results are deterministic regardless of worker count
 // or completion order: jobs only write their own keyed slot, and every
 // simulation seed is fixed by the spec.
 package lab

@@ -320,21 +320,27 @@ func (s DetectorSpec) deps() []Spec    { return nil }
 func (s DetectorSpec) kind() string    { return "detector" }
 
 func (s DetectorSpec) run(l *Lab) any {
-	det := core.NewDetector(s.Cfg, s.Compare)
 	routes := scenario.TrainingRoutes()
-	// Index-addressed results: every worker writes its own slot, so the
-	// training-trace order (and therefore the trained thresholds) is
-	// identical for any GOMAXPROCS and across repeated runs.
-	traces := make([]*trace.Trace, len(routes)*s.PerRoute)
-	par.ForEach(len(traces), func(idx int) {
+	// Training is streamed: each run trains its own index-addressed
+	// partial detector and drops its trace at once, so no more than one
+	// trace per running worker is alive. Thresholds are maxima, so the
+	// merged partials are exactly the detector Train would learn over all
+	// the traces, for any GOMAXPROCS and completion order.
+	parts := make([]*core.Detector, len(routes)*s.PerRoute)
+	par.ForEach(len(parts), func(idx int) {
 		ri, k := idx/s.PerRoute, idx%s.PerRoute
 		res := sim.Run(sim.Config{
 			Scenario: routes[ri],
 			Mode:     s.Mode,
 			Seed:     s.Seed + uint64(ri*100+k)*6151,
 		})
-		traces[idx] = res.Trace
+		part := core.NewDetector(s.Cfg, s.Compare)
+		part.Train([]*trace.Trace{res.Trace}, s.Compare)
+		parts[idx] = part
 	})
-	det.Train(traces, s.Compare)
+	det := core.NewDetector(s.Cfg, s.Compare)
+	for _, part := range parts {
+		det.Merge(part)
+	}
 	return det
 }

@@ -1,15 +1,21 @@
 // Package par is the shared bounded worker pool behind every parallel
-// loop in the reproduction: campaign fault-injection sweeps, golden-run
-// batches, detector training, and the per-step camera fan-out in the sim
-// hot loop.
+// loop in the reproduction: the lab's job DAG, campaign fault-injection
+// sweeps, golden-run batches, detector training, and the per-step camera
+// fan-out in the sim hot loop.
 //
 // A single process-wide pool of GOMAXPROCS-1 persistent workers backs
-// all callers, so nested parallelism (a campaign job that itself renders
-// three cameras concurrently) degrades gracefully to inline execution
-// instead of oversubscribing the machine: work is only handed to a
-// worker that is idle at submission time, and everything else runs on
-// the caller's goroutine. Results are deterministic as long as jobs
-// write to disjoint slots, which every caller in this repo does.
+// all callers. Admission runs on free-worker tokens: the pool holds one
+// token per worker, a loop takes a token before it hands an iteration
+// runner to the pool, and the worker returns the token once that runner
+// has finished. A worker that has started but not yet parked on the
+// task channel can therefore be recruited, so the first loop of a fresh
+// process fans out like any later one. When no token is left, the rest
+// of the loop runs on the caller's goroutine, so nested parallelism (a
+// campaign job that itself renders three cameras concurrently) degrades
+// to inline execution instead of oversubscribing the machine: running
+// goroutines stay at or below GOMAXPROCS. Results are deterministic as
+// long as jobs write to disjoint slots, which every caller in this repo
+// does.
 //
 // When telemetry is on (obs.Enable) the pool reports occupancy through
 // the par.active gauge and counts recruited helpers and inline loops;
@@ -26,10 +32,14 @@ import (
 
 var (
 	startOnce sync.Once
-	// taskCh is unbuffered: a send succeeds only while some worker is
-	// idle and blocked on receive, which is exactly the admission rule
-	// that keeps total running goroutines bounded by GOMAXPROCS.
+	// taskCh is buffered to poolWorkers. Every send is backed by a
+	// token taken from idle, so a send never blocks and every queued
+	// task has a worker that will pick it up without first finishing
+	// another one.
 	taskCh chan func()
+	// idle counts free-worker tokens: poolWorkers minus the tasks that
+	// are queued or running.
+	idle atomic.Int64
 	// poolWorkers is the number of background workers started (0 on a
 	// single-core machine, where every loop runs inline).
 	poolWorkers int
@@ -42,11 +52,13 @@ func start() {
 			n = 0
 		}
 		poolWorkers = n
-		taskCh = make(chan func())
+		idle.Store(int64(n))
+		taskCh = make(chan func(), n)
 		for i := 0; i < n; i++ {
 			go func() {
 				for f := range taskCh {
 					f()
+					idle.Add(1)
 				}
 			}()
 		}
@@ -57,7 +69,7 @@ func start() {
 // telemetry is enabled, so the disabled path costs one atomic load.
 type poolInstruments struct {
 	active    *obs.Gauge   // goroutines currently executing ForEach work
-	recruited *obs.Counter // helpers handed to idle pool workers
+	recruited *obs.Counter // helpers handed to free pool workers
 	inline    *obs.Counter // loops that ran entirely on the caller
 }
 
@@ -85,10 +97,10 @@ func Workers() int {
 }
 
 // ForEach runs fn(i) for every i in [0, n). Iterations are distributed
-// over idle pool workers plus the calling goroutine; with no idle
-// workers (GOMAXPROCS=1, or a nested call from inside another ForEach)
-// the whole loop runs inline on the caller. ForEach returns after every
-// iteration has completed.
+// over free pool workers plus the calling goroutine; with no free
+// worker token (GOMAXPROCS=1, or a nested call while every worker is
+// busy) the whole loop runs inline on the caller. ForEach returns after
+// every iteration has completed.
 //
 // If fn panics, ForEach stops handing out new iterations, waits for
 // iterations already running to finish, and re-raises the first panic
@@ -151,18 +163,11 @@ func ForEach(n int, fn func(int)) {
 		work()
 		wg.Done()
 	}
-recruit:
-	for offered := 0; offered < n-1; offered++ {
+	for offered := 0; offered < n-1 && takeToken(); offered++ {
 		wg.Add(1)
-		select {
-		case taskCh <- helper:
-			if in != nil {
-				in.recruited.Inc()
-			}
-		default:
-			// No worker is idle right now; stop recruiting.
-			wg.Done()
-			break recruit
+		taskCh <- helper // never blocks: the token reserves a buffer slot
+		if in != nil {
+			in.recruited.Inc()
 		}
 	}
 	work()
@@ -172,7 +177,21 @@ recruit:
 	}
 }
 
-// Do runs the given functions, concurrently when idle workers are
+// takeToken claims one free-worker token, reporting false when every
+// pool worker is already queued or running a task.
+func takeToken() bool {
+	for {
+		v := idle.Load()
+		if v <= 0 {
+			return false
+		}
+		if idle.CompareAndSwap(v, v-1) {
+			return true
+		}
+	}
+}
+
+// Do runs the given functions, concurrently when free workers are
 // available, and returns when all have completed.
 func Do(fns ...func()) {
 	ForEach(len(fns), func(i int) { fns[i]() })

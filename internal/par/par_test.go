@@ -1,6 +1,8 @@
 package par
 
 import (
+	"os"
+	"os/exec"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -24,7 +26,7 @@ func TestForEachCoversEveryIndex(t *testing.T) {
 
 func TestForEachNested(t *testing.T) {
 	// Nested ForEach must complete (inner calls fall back to inline
-	// execution when no workers are idle) and still cover every index.
+	// execution when no worker token is free) and still cover every index.
 	var total atomic.Int64
 	ForEach(8, func(i int) {
 		ForEach(8, func(j int) { total.Add(1) })
@@ -57,7 +59,7 @@ func TestForEachDisjointWrites(t *testing.T) {
 func TestForEachSaturation(t *testing.T) {
 	// Flood the pool from many goroutines at once: every loop must
 	// still cover every index exactly once, and nothing may deadlock
-	// even though most loops find no idle workers and run inline.
+	// even though most loops find no free worker and run inline.
 	const loops, n = 32, 200
 	var wg sync.WaitGroup
 	hits := make([][]int32, loops)
@@ -157,5 +159,37 @@ func TestOccupancyGauge(t *testing.T) {
 	}
 	if obs.C("par.inline").Value()+obs.C("par.recruited").Value() == 0 {
 		t.Fatal("neither par.inline nor par.recruited counted anything")
+	}
+}
+
+// freshChildEnv marks the re-executed test binary of
+// TestFirstLoopFansOut.
+const freshChildEnv = "PAR_FRESH_PROCESS_CHILD"
+
+func TestFirstLoopFansOut(t *testing.T) {
+	// The pool starts lazily inside the first ForEach, so its workers
+	// have not parked yet when that loop recruits. Only a fresh process
+	// shows whether they are recruited anyway: re-run this test alone in
+	// a child at GOMAXPROCS=2, where the first loop's two iterations
+	// rendezvous and so can only finish if they run concurrently.
+	if os.Getenv(freshChildEnv) == "1" {
+		arrived := make([]chan struct{}, 2)
+		for i := range arrived {
+			arrived[i] = make(chan struct{})
+		}
+		ForEach(2, func(i int) {
+			close(arrived[i])
+			select {
+			case <-arrived[1-i]:
+			case <-time.After(10 * time.Second):
+				t.Errorf("iteration %d never met iteration %d: the first loop ran inline", i, 1-i)
+			}
+		})
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestFirstLoopFansOut$", "-test.count=1")
+	cmd.Env = append(os.Environ(), freshChildEnv+"=1", "GOMAXPROCS=2")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("fresh-process child failed: %v\n%s", err, out)
 	}
 }
