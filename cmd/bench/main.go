@@ -488,7 +488,8 @@ func main() {
 	// builds its fixtures only when it actually runs. The campaign
 	// ladder isolates each optimization layer: cold (no sharing) →
 	// fork (checkpoint restore, solo) → splice (solo, + reconvergence)
-	// → batch (default: lockstep lane groups on top of both). All four
+	// → batch (default: lane groups sharing one prefix replay on top of
+	// both). All four
 	// produce byte-identical campaigns.
 	simCase := func(mode sim.Mode, serial, tier0 bool) func() (testing.BenchmarkResult, int) {
 		return func() (testing.BenchmarkResult, int) {

@@ -170,7 +170,15 @@ func marshalFrame(mem []float64, base int64, f sensor.Frame, rowStride int) {
 // error is a DUE: the platform (OS / scenario manager analogue) detected
 // a crash or hang of the agent process.
 func (a *Agent) Step(in *Input) (Output, error) {
-	a.marshalIn(in)
+	mem := a.mach.Mem()
+	mem[AddrScalarIn+0] = in.Speed
+	mem[AddrScalarIn+1] = in.Dt
+	mem[AddrScalarIn+2] = in.SpeedLimit
+	mem[AddrScalarIn+3] = float64(in.FrameIndex)
+	marshalFrame(mem, AddrStageCenter, in.Center, 1)
+	marshalFrame(mem, AddrStageLeft, in.Left, 2)
+	marshalFrame(mem, AddrStageRight, in.Right, 2)
+
 	if err := a.mach.Run(vm.CPU, a.cpuIn, budgetCPUIn); err != nil {
 		return Output{}, fmt.Errorf("agent %s: %w", a.Name, err)
 	}
@@ -180,24 +188,7 @@ func (a *Agent) Step(in *Input) (Output, error) {
 	if err := a.mach.Run(vm.CPU, a.cpuOut, budgetCPUOut); err != nil {
 		return Output{}, fmt.Errorf("agent %s: %w", a.Name, err)
 	}
-	return a.decodeOut(), nil
-}
 
-// marshalIn stages one input frame into fabric memory.
-func (a *Agent) marshalIn(in *Input) {
-	mem := a.mach.Mem()
-	mem[AddrScalarIn+0] = in.Speed
-	mem[AddrScalarIn+1] = in.Dt
-	mem[AddrScalarIn+2] = in.SpeedLimit
-	mem[AddrScalarIn+3] = float64(in.FrameIndex)
-	marshalFrame(mem, AddrStageCenter, in.Center, 1)
-	marshalFrame(mem, AddrStageLeft, in.Left, 2)
-	marshalFrame(mem, AddrStageRight, in.Right, 2)
-}
-
-// decodeOut reads the actuation mailbox left by the cpuOut program.
-func (a *Agent) decodeOut() Output {
-	mem := a.mach.Mem()
 	var out Output
 	out.Controls = physics.Controls{
 		Throttle: mem[AddrMailbox+0],
@@ -209,52 +200,7 @@ func (a *Agent) decodeOut() Output {
 		out.Waypoints[i][0] = mem[AddrMailbox+4+2*i]
 		out.Waypoints[i][1] = mem[AddrMailbox+4+2*i+1]
 	}
-	return out
-}
-
-// StepLanes is Step across N agents in lockstep: one frame delivery per
-// lane, then the three pipeline programs executed through vm.RunLanes
-// so instruction fetch/decode is amortized over all lanes. The agents
-// must share the compiled programs (every Agent does — see
-// compiledPrograms); each lane keeps its own machine, memory, and fault
-// hook. A lane that traps in one stage (its DUE) is dropped from the
-// later stages exactly as Step's early return would. Per-lane results
-// are bit-identical to calling ags[k].Step(ins[k]) — the lockstep-lane
-// differential tests pin this.
-func StepLanes(ags []*Agent, ins []*Input) ([]Output, []error) {
-	n := len(ags)
-	outs := make([]Output, n)
-	errs := make([]error, n)
-	for k, a := range ags {
-		a.marshalIn(ins[k])
-	}
-	progs, devs, budgets := ags[0].Programs()
-	machs := make([]*vm.Machine, 0, n)
-	idx := make([]int, 0, n)
-	for s := 0; s < 3; s++ {
-		machs, idx = machs[:0], idx[:0]
-		for k, a := range ags {
-			if errs[k] == nil {
-				machs = append(machs, a.mach)
-				idx = append(idx, k)
-			}
-		}
-		if len(machs) == 0 {
-			break
-		}
-		for i, err := range vm.RunLanes(devs[s], progs[s], budgets[s], machs) {
-			if err != nil {
-				k := idx[i]
-				errs[k] = fmt.Errorf("agent %s: %w", ags[k].Name, err)
-			}
-		}
-	}
-	for k, a := range ags {
-		if errs[k] == nil {
-			outs[k] = a.decodeOut()
-		}
-	}
-	return outs, errs
+	return out, nil
 }
 
 // MemoryBytes returns the agent's fabric memory footprint in bytes (for

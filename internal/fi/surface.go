@@ -68,8 +68,9 @@ type Harness interface {
 
 // Surface is one armed fault-surface instance: the per-run live state
 // behind a SurfacePlan. It is not safe for concurrent use; each run
-// owns its instance (SurfacePlan.New), which is what keeps lockstep
-// lanes — one runner per lane, one Surface per runner — sound.
+// owns its instance (SurfacePlan.New), which is what keeps lanes that
+// restore from one shared pack snapshot — one runner per lane, one
+// Surface per runner — sound.
 type Surface interface {
 	// Name is the surface identity ("instr", "sensorfault",
 	// "hallucinate") — the key material campaigns and ledger spans

@@ -106,7 +106,7 @@ const DefaultCheckpointEvery = 50
 // up to each plan's detach step, and (unless the spec disables it)
 // execute by forking from the latest checkpoint of one checkpointed
 // golden pass at or before that step instead of re-simulating the
-// prefix, batched into lockstep lane groups. Symmetrically, every fork
+// prefix, batched into lane groups. Symmetrically, every fork
 // tracks the golden pass's stream: once its fault has washed out
 // bit-exactly, it splices the golden suffix instead of simulating it.
 // The fork-, splice- and lane-equivalence invariants (see internal/sim)
@@ -234,7 +234,7 @@ func runCampaign(l *Lab, s CampaignSpec) *Campaign {
 			emitRunSpan(i, res, time.Since(began).Nanoseconds())
 		}
 	}
-	laneW := min(s.LaneWidth, vm.MaxLanes)
+	laneW := s.LaneWidth
 	if laneW == 0 {
 		laneW = DefaultLaneWidth
 	}
@@ -342,15 +342,15 @@ func emitPropagation(ledger *obs.Ledger, specKey, surface string, c *Campaign, p
 
 // DefaultLaneWidth is the lane-group size of batched transient campaign
 // execution: up to this many injection runs share one fault-free prefix
-// replay and step their suffixes in sim-level lockstep. Bounded by
-// vm.MaxLanes; chosen so a group's agent machines stay comfortably in
-// cache while the decode amortization is already near its asymptote.
+// replay, then run their suffixes one after another from the pack's
+// snapshots.
 const DefaultLaneWidth = 16
 
 // runLaneGroups is the batched transient scheduler: plans are sorted by
 // detach step (never-activating golden clones first — they cost one
 // trace copy each), so runs detaching together land in the same group
-// as cohorts and near ones share most of the pack replay; the order is
+// and share one pack snapshot, and near ones share most of the pack
+// replay; the order is
 // chunked into lane-width groups, and each group executes through
 // sim.RunLanesFrom on copies of base carrying the lanes' plans. A group
 // that fails validation falls back to the solo fork path run by run —

@@ -183,10 +183,10 @@ type CampaignSpec struct {
 	// invariant (see internal/sim) splicing changes wall-clock only, never
 	// the artifact.
 	DisableSplice bool
-	// LaneWidth tunes batched lockstep execution of transient fork
-	// campaigns: injection runs are scheduled in groups of up to LaneWidth
-	// lanes that share one fault-free prefix replay and step their
-	// suffixes in sim-level lockstep (sim.RunLanesFrom). 0 selects
+	// LaneWidth tunes batched execution of transient fork campaigns:
+	// injection runs are scheduled in groups of up to LaneWidth lanes
+	// that share one fault-free prefix replay and then run their
+	// suffixes from its snapshots (sim.RunLanesFrom). 0 selects
 	// DefaultLaneWidth, a negative value runs every injection solo (the
 	// legacy fork path). Like CheckpointEvery it is NOT part of Key(): by
 	// the lane-equivalence invariant (see internal/sim) lane width changes

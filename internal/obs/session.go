@@ -105,7 +105,7 @@ func ServeDebug(addr string) (string, error) {
 
 // WriteSummary prints the human-readable flight-recorder digest: the
 // headline rates the campaigns care about (tier-1 kernel hit rate,
-// batch/fork/cold split, lane occupancy, splice counts, checkpoint pool
+// batch/fork/cold split, lane-group sizes, splice counts, checkpoint pool
 // reuse, lab store hits) followed by every metric in the snapshot,
 // sorted.
 func WriteSummary(w io.Writer, snap map[string]int64, wall time.Duration) {
@@ -117,10 +117,10 @@ func WriteSummary(w io.Writer, snap map[string]int64, wall time.Duration) {
 		}
 		fmt.Fprintf(w, "; %d collisions, %d DUEs\n", snap["sim.collisions"], snap["sim.dues"])
 	}
-	fused, scalar, hooked, batched := snap["vm.instr_fused"], snap["vm.instr_scalar"], snap["vm.instr_hooked"], snap["vm.instr_batched"]
-	if total := fused + scalar + hooked + batched; total > 0 {
-		fmt.Fprintf(w, "vm: %d instructions — %.1f%% tier-1 fused, %.1f%% batched lockstep, %.1f%% tier-0 scalar, %.1f%% hooked\n",
-			total, 100*float64(fused)/float64(total), 100*float64(batched)/float64(total),
+	fused, scalar, hooked := snap["vm.instr_fused"], snap["vm.instr_scalar"], snap["vm.instr_hooked"]
+	if total := fused + scalar + hooked; total > 0 {
+		fmt.Fprintf(w, "vm: %d instructions — %.1f%% tier-1 fused, %.1f%% tier-0 scalar, %.1f%% hooked\n",
+			total, 100*float64(fused)/float64(total),
 			100*float64(scalar)/float64(total), 100*float64(hooked)/float64(total))
 	}
 	batchedRuns, forked, cold := snap["campaign.runs_batched"], snap["campaign.runs_forked"], snap["campaign.runs_cold"]
@@ -131,9 +131,6 @@ func WriteSummary(w io.Writer, snap map[string]int64, wall time.Duration) {
 		lanes, clones := snap["sim.lane_runs"], snap["sim.lane_clones"]
 		fmt.Fprintf(w, "lanes: %d groups, %d lanes (%.1f avg), %d golden clones",
 			groups, lanes, float64(lanes)/float64(groups), clones)
-		if cohorts := snap["sim.lane_cohorts"]; cohorts > 0 {
-			fmt.Fprintf(w, "; cohort occupancy %.1f", float64(snap["sim.lane_cohort_lanes"])/float64(cohorts))
-		}
 		fmt.Fprintf(w, "; pack replay %d steps (%d checkpoint jumps)\n",
 			snap["sim.pack_steps"], snap["sim.pack_restores"])
 	}

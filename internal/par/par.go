@@ -98,9 +98,10 @@ func Workers() int {
 
 // ForEach runs fn(i) for every i in [0, n). Iterations are distributed
 // over free pool workers plus the calling goroutine; with no free
-// worker token (GOMAXPROCS=1, or a nested call while every worker is
-// busy) the whole loop runs inline on the caller. ForEach returns after
-// every iteration has completed.
+// worker token (n == 1, GOMAXPROCS=1, or a nested call while every
+// worker is busy) the whole loop runs inline on the caller, with no
+// closure or scheduling overhead. ForEach returns after every iteration
+// has completed.
 //
 // If fn panics, ForEach stops handing out new iterations, waits for
 // iterations already running to finish, and re-raises the first panic
@@ -110,26 +111,15 @@ func ForEach(n int, fn func(int)) {
 		return
 	}
 	in := instruments()
-	if n == 1 {
+	if n == 1 || !takeToken() {
+		// Allocation-free, which keeps the sim's per-step camera
+		// fan-out free of garbage whenever no worker is free.
 		if in != nil {
 			in.inline.Inc()
 			in.active.Add(1)
 			defer in.active.Add(-1)
 		}
-		fn(0)
-		return
-	}
-	start()
-	if poolWorkers == 0 {
-		// Single-core: run inline with zero scheduling or closure
-		// overhead (this keeps the sim's per-step camera fan-out
-		// allocation-free at GOMAXPROCS=1).
-		if in != nil {
-			in.inline.Inc()
-			in.active.Add(1)
-			defer in.active.Add(-1)
-		}
-		for i := 0; i < n; i++ {
+		for i := range n {
 			fn(i)
 		}
 		return
@@ -163,11 +153,15 @@ func ForEach(n int, fn func(int)) {
 		work()
 		wg.Done()
 	}
-	for offered := 0; offered < n-1 && takeToken(); offered++ {
+	// One token is already held; offer up to n-1 helpers in all.
+	for offered := 1; ; offered++ {
 		wg.Add(1)
 		taskCh <- helper // never blocks: the token reserves a buffer slot
 		if in != nil {
 			in.recruited.Inc()
+		}
+		if offered == n-1 || !takeToken() {
+			break
 		}
 	}
 	work()
@@ -177,9 +171,11 @@ func ForEach(n int, fn func(int)) {
 	}
 }
 
-// takeToken claims one free-worker token, reporting false when every
-// pool worker is already queued or running a task.
+// takeToken claims one free-worker token, starting the pool on first
+// use, and reports false when every pool worker is already queued or
+// running a task (always, on a single-core machine).
 func takeToken() bool {
+	start()
 	for {
 		v := idle.Load()
 		if v <= 0 {

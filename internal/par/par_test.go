@@ -193,3 +193,58 @@ func TestFirstLoopFansOut(t *testing.T) {
 		t.Fatalf("fresh-process child failed: %v\n%s", err, out)
 	}
 }
+
+// busyChildEnv marks the re-executed test binary of
+// TestBusyLoopRunsInline.
+const busyChildEnv = "PAR_BUSY_POOL_CHILD"
+
+func TestBusyLoopRunsInline(t *testing.T) {
+	// A loop that finds every worker token taken (the sim's per-step
+	// camera fan-out while the lab's DAG loop holds the pool) must run
+	// inline without allocating and be counted as inline. A fresh child
+	// at GOMAXPROCS=2 has exactly one token; a blocked two-iteration loop
+	// on another goroutine holds it.
+	if os.Getenv(busyChildEnv) == "1" {
+		obs.Enable()
+		started := make(chan struct{}, 2)
+		release := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			ForEach(2, func(int) {
+				started <- struct{}{}
+				<-release
+			})
+			close(done)
+		}()
+		// Both iterations running means the helper is on the worker,
+		// so its token stays taken until release.
+		<-started
+		<-started
+
+		var sum int
+		fn := func(i int) { sum += i }
+		inline := obs.C("par.inline")
+		before := inline.Value()
+		const runs = 100
+		allocs := testing.AllocsPerRun(runs, func() { ForEach(3, fn) })
+		counted := inline.Value() - before
+		close(release)
+		<-done
+		if allocs != 0 {
+			t.Errorf("ForEach(3) with no free token allocated %.1f times per loop, want 0", allocs)
+		}
+		// AllocsPerRun makes one warm-up call before the measured runs.
+		if counted != runs+1 {
+			t.Errorf("par.inline counted %d loops, want %d", counted, runs+1)
+		}
+		if sum != 3*(runs+1) {
+			t.Errorf("loops summed %d, want %d", sum, 3*(runs+1))
+		}
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestBusyLoopRunsInline$", "-test.count=1")
+	cmd.Env = append(os.Environ(), busyChildEnv+"=1", "GOMAXPROCS=2")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("busy-pool child failed: %v\n%s", err, out)
+	}
+}

@@ -45,7 +45,7 @@ type Options struct {
 	// invariant); this is the A/B switch the CI smoke test uses to prove
 	// it end to end.
 	NoSplice bool
-	// LaneWidth tunes batched lockstep execution of the study's transient
+	// LaneWidth tunes batched lane execution of the study's transient
 	// campaigns: 0 selects the default lane width, negative runs every
 	// injection solo. Reports are byte-identical either way (the
 	// lane-equivalence invariant); the CI batch smoke test A/Bs it.

@@ -3,22 +3,13 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
-	"diverseav/internal/agent"
 	"diverseav/internal/fi"
 	"diverseav/internal/fi/instr"
-	"diverseav/internal/trace"
-	"diverseav/internal/vm"
 )
 
-// cohortRuns counts runCohort invocations; the lane-equivalence tests
-// read it to prove the lockstep cohort path actually executed instead of
-// silently degrading to per-lane solo runs.
-var cohortRuns atomic.Uint64
-
-// RunLanesFrom executes a group of transient injection runs as lockstep
-// lanes sharing one fault-free prefix. Each lane i is the run Config
+// RunLanesFrom executes a group of transient injection runs as lanes
+// sharing one fault-free prefix. Each lane i is the run Config
 // cfgs[i] would produce cold; detach[i] is a step at or before the
 // lane's fault can first act, or -1 for a lane whose fault provably
 // never activates in this run. For instruction-surface lanes (fi/instr
@@ -29,7 +20,7 @@ var cohortRuns atomic.Uint64
 // is the bound directly; step-space plans without a decidable start
 // (Start() < 0) are rejected and must run solo.
 //
-// Execution strategy, with the per-step work shared across lanes:
+// Execution strategy, with the fault-free prefix shared across lanes:
 //
 //   - A detach<0 lane never fires its hook, so its run IS the golden
 //     run: its result is a clone of the golden trace with the lane's
@@ -37,13 +28,12 @@ var cohortRuns atomic.Uint64
 //   - One fault-free "pack" runner replays the golden prefix once,
 //     jumping forward via golden-stream checkpoints where possible, and
 //     snapshots at each distinct detach step.
-//   - Lanes sharing a detach step form a cohort: restored from one
-//     snapshot, they step the closed loop in sim-level lockstep, with
-//     agent execution batched through vm.RunLanes (agent.StepLanes) so
-//     instruction decode is amortized over the cohort. Reconvergence
-//     splicing and collision verdicts compose per lane, and a lane
-//     whose injector goes quiescent narrows its hook scope to nothing
-//     (fi/instr) and rejoins the hook-free fast path at once.
+//   - Each lane restores from the pack snapshot at its detach step and
+//     runs its suffix through the ordinary solo loop; lanes sharing a
+//     detach step restore from the same snapshot, one after another.
+//     Reconvergence splicing and collision verdicts compose per lane,
+//     and a lane whose injector goes quiescent narrows its hook scope
+//     to nothing (fi/instr) and rejoins the hook-free fast path at once.
 //
 // The hard invariant — pinned by the lane-equivalence matrix — is that
 // results[i].Trace is byte-identical to Run(cfgs[i]) from scratch, and
@@ -56,9 +46,6 @@ var cohortRuns atomic.Uint64
 func RunLanesFrom(cp *Checkpoint, cfgs []Config, detach []int) ([]*Result, error) {
 	if len(cfgs) == 0 || len(cfgs) != len(detach) {
 		return nil, fmt.Errorf("sim: RunLanesFrom: %d configs, %d detach steps", len(cfgs), len(detach))
-	}
-	if len(cfgs) > vm.MaxLanes {
-		return nil, fmt.Errorf("sim: RunLanesFrom: %d lanes exceeds vm.MaxLanes (%d)", len(cfgs), vm.MaxLanes)
 	}
 	base := &cfgs[0]
 	for i := range cfgs {
@@ -154,7 +141,7 @@ func RunLanesFrom(cp *Checkpoint, cfgs []Config, detach []int) ([]*Result, error
 			gj++
 		}
 		// Jump over replay work: restore the latest golden checkpoint at
-		// or before this cohort's detach step instead of stepping to it.
+		// or before these lanes' detach step instead of stepping to it.
 		if stream != nil {
 			if gcp := latestAtOrBefore(stream, target); gcp != nil && gcp.Step > pos {
 				if err := pack.restore(gcp); err != nil {
@@ -176,25 +163,12 @@ func RunLanesFrom(cp *Checkpoint, cfgs []Config, detach []int) ([]*Result, error
 			}
 		}
 		snap := pack.snapshot(target)
-		if gj-gi == 1 {
-			i := order[gi]
+		for _, i := range order[gi:gj] {
 			res, err := runLane(cfgs[i], snap, target)
 			if err != nil {
 				return nil, err
 			}
 			results[i] = res
-		} else {
-			cohort := make([]Config, 0, gj-gi)
-			for _, i := range order[gi:gj] {
-				cohort = append(cohort, cfgs[i])
-			}
-			out, err := runCohort(cohort, snap, target)
-			if err != nil {
-				return nil, err
-			}
-			for k, i := range order[gi:gj] {
-				results[i] = out[k]
-			}
 		}
 		ReleaseCheckpoints([]*Checkpoint{snap})
 		gi = gj
@@ -220,130 +194,15 @@ func cloneGolden(cfg *Config) *Result {
 	}
 }
 
-// runLane executes a single-lane cohort through the ordinary solo loop:
-// restore the pack snapshot and run the suffix.
+// runLane executes one lane through the ordinary solo loop: restore
+// the pack snapshot and run the suffix. Restore copies, so the lanes
+// sharing a detach step all restore from one snapshot.
 func runLane(cfg Config, snap *Checkpoint, start int) (*Result, error) {
 	ln := newRunner(cfg)
 	if err := ln.restore(snap); err != nil {
 		return nil, err
 	}
 	return ln.run(start), nil
-}
-
-// runCohort steps several lanes sharing one detach step through the
-// closed loop in sim-level lockstep. Each phase of the step runs across
-// all live lanes before the next phase starts, which lets the agent
-// phase hand every lane's machine for a given agent id to vm.RunLanes in
-// one call — one instruction decode amortized over the cohort. A lane
-// leaves the cohort when it splices, collides, or DUEs; the rest keep
-// stepping.
-func runCohort(cfgs []Config, snap *Checkpoint, start int) ([]*Result, error) {
-	n := len(cfgs)
-	lanes := make([]*runner, n)
-	for i := range cfgs {
-		lanes[i] = newRunner(cfgs[i])
-		if err := lanes[i].restore(snap); err != nil {
-			return nil, err
-		}
-		lanes[i].start = start
-	}
-	cohortRuns.Add(1)
-	if in := instruments(); in != nil {
-		in.laneCohorts.Inc()
-		in.laneCohortN.Add(uint64(n))
-	}
-
-	res := make([]*Result, n)
-	live := n
-	steps := lanes[0].steps
-	nAgents := len(lanes[0].agents)
-	// Batched agent-phase scratch; ins must not grow past its capacity
-	// (pointers into it are handed to StepLanes).
-	ags := make([]*agent.Agent, 0, n)
-	ins := make([]agent.Input, 0, n)
-	inPtrs := make([]*agent.Input, 0, n)
-	idxs := make([]int, 0, n)
-
-	for step := start; live > 0 && step < steps; step++ {
-		// Propagation probe, per lane (mirrors the solo run loop: before
-		// the splice probe, and under DisableSplice too).
-		for i, ln := range lanes {
-			if res[i] == nil && ln.prop != nil && step > start {
-				ln.probeProp(step)
-			}
-		}
-		// Reconvergence probe, per lane (mirrors the solo run loop).
-		for i, ln := range lanes {
-			if res[i] != nil || ln.golden == nil || ln.cfg.DisableSplice || step == start {
-				continue
-			}
-			if out := ln.trySplice(step, start); out != nil {
-				res[i] = out
-				live--
-			}
-		}
-		if live == 0 {
-			break
-		}
-		// World phase: NPCs, physics, rendering, per-step scratch.
-		for i, ln := range lanes {
-			if res[i] == nil {
-				ln.stepWorld(step)
-				ln.stepCmds = [2]trace.Cmd{}
-			}
-		}
-		// Agent phase, batched: for each agent id receiving this frame,
-		// collect the live lanes' inputs (agentInput per lane keeps each
-		// lane's distribution latches and jitter stream aligned with its
-		// solo loop) and execute the pipeline across lanes in lockstep.
-		for id := 0; id < nAgents; id++ {
-			if !receives(lanes[0].cfg.Mode, lanes[0].cfg.Overlap, id, step) {
-				continue
-			}
-			ags, ins, inPtrs, idxs = ags[:0], ins[:0], inPtrs[:0], idxs[:0]
-			for i, ln := range lanes {
-				if res[i] != nil {
-					continue
-				}
-				ags = append(ags, ln.agents[id])
-				ins = append(ins, ln.agentInput(id, step))
-				idxs = append(idxs, i)
-			}
-			if len(ags) == 0 {
-				break
-			}
-			for k := range ins {
-				inPtrs = append(inPtrs, &ins[k])
-			}
-			outs, errs := agent.StepLanes(ags, inPtrs)
-			for k, i := range idxs {
-				ln := lanes[i]
-				if errs[k] != nil {
-					finishDUE(ln.tr, ln.env, step, errs[k])
-					res[i] = ln.finish(start)
-					live--
-				} else {
-					ln.applyAgentOut(id, step, inPtrs[k], &outs[k])
-				}
-			}
-		}
-		// Finish phase: actuation, trace record, collision verdict.
-		for i, ln := range lanes {
-			if res[i] != nil {
-				continue
-			}
-			if out := ln.stepFinish(step); out != nil {
-				res[i] = out
-				live--
-			}
-		}
-	}
-	for i, ln := range lanes {
-		if res[i] == nil {
-			res[i] = ln.finish(start)
-		}
-	}
-	return res, nil
 }
 
 // latestAtOrBefore returns the latest golden checkpoint taken at or

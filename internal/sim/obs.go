@@ -12,30 +12,27 @@ import (
 // load at run end, and when enabled the per-run cost is a handful of
 // counter adds.
 type simInstruments struct {
-	runs         *obs.Counter // finished runs (cold and forked)
-	steps        *obs.Counter // simulation steps actually executed
-	collisions   *obs.Counter // runs ending in a collision
-	dues         *obs.Counter // runs ending in a platform-detected crash/hang
-	faultRuns    *obs.Counter // runs with at least one injector wired
-	activations  *obs.Counter // fault-injector activations across all runs
-	checkpoints  *obs.Counter // checkpoints taken
-	cpReuse      *obs.Counter // checkpoint buffers recycled from the pool
-	instrFused   *obs.Counter // VM instructions in tier-1 fused kernels
-	instrScalar  *obs.Counter // VM instructions in the tier-0 scalar loop
-	instrHooked  *obs.Counter // VM instructions in the hooked loop
-	instrBatched *obs.Counter // VM instructions executed in lockstep lanes
+	runs        *obs.Counter // finished runs (cold and forked)
+	steps       *obs.Counter // simulation steps actually executed
+	collisions  *obs.Counter // runs ending in a collision
+	dues        *obs.Counter // runs ending in a platform-detected crash/hang
+	faultRuns   *obs.Counter // runs with at least one injector wired
+	activations *obs.Counter // fault-injector activations across all runs
+	checkpoints *obs.Counter // checkpoints taken
+	cpReuse     *obs.Counter // checkpoint buffers recycled from the pool
+	instrFused  *obs.Counter // VM instructions in tier-1 fused kernels
+	instrScalar *obs.Counter // VM instructions in the tier-0 scalar loop
+	instrHooked *obs.Counter // VM instructions in the hooked loop
 
 	// Divergence-aware execution.
 	runsSpliced   *obs.Counter // runs that ended in a reconvergence splice
 	stepsSpliced  *obs.Counter // golden-suffix steps grafted instead of simulated
 	spliceRejects *obs.Counter // digest collisions rejected by the full compare
 
-	// Batched lockstep execution (RunLanesFrom).
+	// Lane groups sharing one fault-free prefix (RunLanesFrom).
 	laneGroups   *obs.Counter // lane groups executed
 	laneRuns     *obs.Counter // injection runs executed as lanes
 	laneClones   *obs.Counter // never-activating lanes resolved as golden clones
-	laneCohorts  *obs.Counter // cohorts of >1 lane stepped in sim lockstep
-	laneCohortN  *obs.Counter // lanes inside those cohorts (occupancy numerator)
 	packSteps    *obs.Counter // fault-free pack steps simulated for lane prefixes
 	packRestores *obs.Counter // pack jumps via golden-stream checkpoint restores
 }
@@ -51,18 +48,17 @@ func instruments() *simInstruments {
 	}
 	simInstOnce.Do(func() {
 		simInst = simInstruments{
-			runs:         obs.C("sim.runs"),
-			steps:        obs.C("sim.steps"),
-			collisions:   obs.C("sim.collisions"),
-			dues:         obs.C("sim.dues"),
-			faultRuns:    obs.C("sim.fault_runs"),
-			activations:  obs.C("fi.activations"),
-			checkpoints:  obs.C("sim.checkpoints"),
-			cpReuse:      obs.C("sim.checkpoint_reuse"),
-			instrFused:   obs.C("vm.instr_fused"),
-			instrScalar:  obs.C("vm.instr_scalar"),
-			instrHooked:  obs.C("vm.instr_hooked"),
-			instrBatched: obs.C("vm.instr_batched"),
+			runs:        obs.C("sim.runs"),
+			steps:       obs.C("sim.steps"),
+			collisions:  obs.C("sim.collisions"),
+			dues:        obs.C("sim.dues"),
+			faultRuns:   obs.C("sim.fault_runs"),
+			activations: obs.C("fi.activations"),
+			checkpoints: obs.C("sim.checkpoints"),
+			cpReuse:     obs.C("sim.checkpoint_reuse"),
+			instrFused:  obs.C("vm.instr_fused"),
+			instrScalar: obs.C("vm.instr_scalar"),
+			instrHooked: obs.C("vm.instr_hooked"),
 
 			runsSpliced:   obs.C("sim.runs_spliced"),
 			stepsSpliced:  obs.C("sim.steps_spliced"),
@@ -71,8 +67,6 @@ func instruments() *simInstruments {
 			laneGroups:   obs.C("sim.lane_groups"),
 			laneRuns:     obs.C("sim.lane_runs"),
 			laneClones:   obs.C("sim.lane_clones"),
-			laneCohorts:  obs.C("sim.lane_cohorts"),
-			laneCohortN:  obs.C("sim.lane_cohort_lanes"),
 			packSteps:    obs.C("sim.pack_steps"),
 			packRestores: obs.C("sim.pack_restores"),
 		}
@@ -112,10 +106,9 @@ func (r *runner) publishRun(res *Result) {
 	in.activations.Add(res.Activations)
 	in.checkpoints.Add(uint64(len(res.Checkpoints)))
 	for _, ag := range r.agents {
-		fused, scalar, hooked, batched := ag.Machine().TierCounts()
+		fused, scalar, hooked := ag.Machine().TierCounts()
 		in.instrFused.Add(fused)
 		in.instrScalar.Add(scalar)
 		in.instrHooked.Add(hooked)
-		in.instrBatched.Add(batched)
 	}
 }

@@ -210,8 +210,8 @@ func (r *runner) propSample(step int, cp *Checkpoint) {
 }
 
 // propActivationPoll latches the first step at the end of which the
-// fault surface had activated. Called from stepFinish so the solo and
-// cohort loops observe the identical instant.
+// fault surface had activated. Called from stepFinish, once per step,
+// after the agent phase.
 func (r *runner) propActivationPoll(step int) {
 	if t := r.prop; t != nil && t.actStep < 0 && r.surface != nil && r.surface.Activations() > 0 {
 		t.actStep = step

@@ -179,7 +179,7 @@ type runner struct {
 	tr    *trace.Trace
 	steps int
 	// start is the first step this runner simulates (0 for a cold run,
-	// the fork/detach step otherwise); set by run and by the cohort loop.
+	// the fork/detach step otherwise); set by run.
 	start int
 	// profilePending is set while the scoped profiling observer is
 	// armed and cleared by finish once Config.Profile holds the whole
@@ -207,10 +207,9 @@ type runner struct {
 	checkpoints []*Checkpoint
 	renderCam   func(i int)
 	// Per-step scratch handed from stepWorld to stepAgents/stepFinish,
-	// fully rewritten each step. stepIn is the solo loop's reusable
-	// agent-input buffer: it lives on the runner so handing its address
-	// through the output-hook indirection cannot force a per-step heap
-	// escape (the cohort loop keeps its own input slice instead).
+	// fully rewritten each step. stepIn is the reusable agent-input
+	// buffer: it lives on the runner so handing its address through the
+	// output-hook indirection cannot force a per-step heap escape.
 	stepReading sensor.IMUGPS
 	stepLimit   float64
 	stepCmds    [2]trace.Cmd
@@ -339,9 +338,11 @@ func newRunner(cfg Config) *runner {
 
 // run executes the closed loop from step `start` (0 for a cold run, the
 // checkpoint's step for a fork) to the end of the scenario. The loop
-// body lives in stepWorld / stepAgents / stepFinish so the batched-lane
-// cohort loop (batch.go) can interleave the same phases across several
-// runners; stepOnce composes them for the solo path.
+// body is split into its phases — stepWorld (NPCs, physics, render,
+// frame hooks), stepAgents (the agents' VM pipelines) and stepFinish
+// (actuation, trace record, collision verdict) — which stepOnce
+// composes; the split gives each phase a boundary a per-phase timer can
+// sit on.
 func (r *runner) run(start int) *Result {
 	cfg := r.cfg
 	r.start = start
@@ -432,62 +433,45 @@ func (r *runner) stepAgents(step int) *Result {
 		if !receives(r.cfg.Mode, r.cfg.Overlap, id, step) {
 			continue
 		}
-		r.stepIn = r.agentInput(id, step)
+		r.stepIn = agent.Input{
+			Center: r.frames[0], Left: r.frames[1], Right: r.frames[2],
+			Speed:      float64(r.stepReading.Speed),
+			Dt:         float64(step-r.lastFrame[id]) / Hz,
+			SpeedLimit: r.stepLimit,
+			FrameIndex: step,
+		}
+		r.lastFrame[id] = step
+		if r.cfg.Mode == Duplicate {
+			// The FD baseline's agents sample their sensors independently;
+			// this per-agent measurement jitter stands in for the inherent
+			// software/hardware non-determinism the paper observes between
+			// loosely-coupled replicas.
+			r.stepIn.Speed += r.jitter.NormScaled(0, 0.03)
+		}
 		out, err := ag.Step(&r.stepIn)
 		if err != nil {
 			finishDUE(r.tr, r.env, step, err)
 			return r.finish(r.start)
 		}
 		r.stepOut = out
-		r.applyAgentOut(id, step, &r.stepIn, &r.stepOut)
+		// Perception-surface hooks act on what the planner *reported*,
+		// after the pipeline ran and before anything downstream reads it.
+		for _, hook := range r.outputHooks {
+			hook(id, step, &r.stepIn, &r.stepOut)
+		}
+		r.stepCmds[id] = trace.Cmd{
+			Valid:        true,
+			Throttle:     r.stepOut.Controls.Throttle,
+			Brake:        r.stepOut.Controls.Brake,
+			Steer:        r.stepOut.Controls.Steer,
+			ObstacleDist: r.stepOut.ObstacleDist,
+		}
+		if fusionDrives(r.cfg.Mode, id, step) {
+			r.applied = r.stepOut.Controls
+			r.appliedBy = id
+		}
 	}
 	return nil
-}
-
-// agentInput builds agent id's input for this step and advances the
-// distribution latches (lastFrame, and the duplicate-mode measurement
-// jitter draw) — call exactly once per delivered frame, in agent order,
-// so the per-run jitter stream stays aligned with the solo loop when the
-// cohort loop batches agent execution across lanes.
-func (r *runner) agentInput(id, step int) agent.Input {
-	in := agent.Input{
-		Center: r.frames[0], Left: r.frames[1], Right: r.frames[2],
-		Speed:      float64(r.stepReading.Speed),
-		Dt:         float64(step-r.lastFrame[id]) / Hz,
-		SpeedLimit: r.stepLimit,
-		FrameIndex: step,
-	}
-	r.lastFrame[id] = step
-	if r.cfg.Mode == Duplicate {
-		// The FD baseline's agents sample their sensors independently;
-		// this per-agent measurement jitter stands in for the inherent
-		// software/hardware non-determinism the paper observes between
-		// loosely-coupled replicas.
-		in.Speed += r.jitter.NormScaled(0, 0.03)
-	}
-	return in
-}
-
-// applyAgentOut perturbs agent id's output through any armed
-// perception-surface hooks (the fault acts on what the planner
-// *reported*, after the pipeline ran and before anything downstream
-// reads it), then latches the actuation into the step command record
-// and, when fusion selects it, into the applied controls.
-func (r *runner) applyAgentOut(id, step int, in *agent.Input, out *agent.Output) {
-	for _, hook := range r.outputHooks {
-		hook(id, step, in, out)
-	}
-	r.stepCmds[id] = trace.Cmd{
-		Valid:        true,
-		Throttle:     out.Controls.Throttle,
-		Brake:        out.Controls.Brake,
-		Steer:        out.Controls.Steer,
-		ObstacleDist: out.ObstacleDist,
-	}
-	if fusionDrives(r.cfg.Mode, id, step) {
-		r.applied = out.Controls
-		r.appliedBy = id
-	}
 }
 
 // stepFinish profiles, actuates, records the trace step, and evaluates

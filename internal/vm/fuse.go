@@ -43,10 +43,13 @@ import "math"
 //
 //  3. Transliterated bodies. Kernel bodies perform the same float
 //     operations in the same order on the same values as the scalar
-//     loop, so results are bit-identical (Go does not contract a*b+c
-//     into a fused multiply-add on its own). Every architecturally
-//     written register holds its last-iteration value when the kernel
-//     returns.
+//     loop, so results are bit-identical. The Go spec lets a compiler
+//     fuse x*y + z into one fused multiply-add (arm64, ppc64le, s390x
+//     and riscv64 do; amd64 does not), and only an explicit conversion
+//     forbids it, so every FMA here and in machine.go is written
+//     float64(a*b) + c: two roundings on every target. Every
+//     architecturally written register holds its last-iteration value
+//     when the kernel returns.
 //
 // Kernels keep no state of their own, so snapshots/checkpoints are
 // unaffected: MachineState already captures everything tier 1 reads or
@@ -296,9 +299,9 @@ func matchScoreLoop(code []Instr, p int) (fusedKernel, int, bool) {
 			t1 = mem[s+1]
 			t2 = mem[s+2]
 			t3 = t0 + t1
-			t4 = t3*nh + t2
+			t4 = float64(t3*nh) + t2
 			t3 = t1 + t2
-			t5 = t3*nh + t0
+			t5 = float64(t3*nh) + t0
 			sc = math.Max(t4, t5)
 			mem[d] = sc
 			s += 3

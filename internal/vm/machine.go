@@ -137,10 +137,9 @@ type Machine struct {
 	// dev[_].count they are not part of the architectural state, so
 	// MachineState.Restore leaves them alone and forked runs keep
 	// accumulating.
-	fusedInstr   uint64 // executed inside tier-1 fused kernels (either loop)
-	scalarInstr  uint64 // executed by the hook-free scalar loop
-	hookedInstr  uint64 // executed per instruction by the hooked loop
-	batchedInstr uint64 // executed in lockstep by RunLanes (see batch.go)
+	fusedInstr  uint64 // executed inside tier-1 fused kernels (either loop)
+	scalarInstr uint64 // executed by the hook-free scalar loop
+	hookedInstr uint64 // executed per instruction by the hooked loop
 }
 
 // NewMachine allocates a machine with the given data-memory size in
@@ -231,14 +230,13 @@ func (m *Machine) LastWriteback(d Device) (dyn uint64, ok bool) {
 
 // TierCounts returns how many dynamic instructions this machine has
 // executed on each path: inside tier-1 fused kernels (dispatched from
-// either loop), in the hook-free tier-0 scalar loop, per instruction in
-// the hooked fault-injection loop, and in the multi-lane lockstep batch
-// loop (RunLanes). The sum equals every
+// either loop), in the hook-free tier-0 scalar loop, and per
+// instruction in the hooked fault-injection loop. The sum equals every
 // instruction ever run (checkpoint restores do not reset these), which
 // is what the flight-recorder summary reports as the tier-1 kernel hit
 // rate.
-func (m *Machine) TierCounts() (fused, scalar, hooked, batched uint64) {
-	return m.fusedInstr, m.scalarInstr, m.hookedInstr, m.batchedInstr
+func (m *Machine) TierCounts() (fused, scalar, hooked uint64) {
+	return m.fusedInstr, m.scalarInstr, m.hookedInstr
 }
 
 // Float returns float register i of the device (for tests).
@@ -258,35 +256,25 @@ func (m *Machine) Int(d Device, i int) int64 { return m.dev[d].r[i] }
 // file, skipping the per-writeback hook plumbing; see runDirect. Both
 // loops execute identical semantics.
 func (m *Machine) Run(d Device, p *Program, stepBudget uint64) error {
-	err := m.resume(d, p, p.entry, 0, stepBudget)
+	var err error
+	if m.scope[d] == 0 {
+		err = m.runDirect(d, p, p.entry, 0, stepBudget)
+	} else {
+		err = m.runHooked(d, p, stepBudget)
+	}
 	m.dev[d].noteExit(p, err)
 	return err
 }
 
-// resume continues execution of p at an arbitrary pc with `start`
-// steps of this invocation's budget already spent — the scalar landing
-// path for a lane that detached from a RunLanes lockstep pack, and the
-// body of Run. Either loop gets tier-1 kernels wherever the pc lands on
-// a kernel entry the hook scope allows.
-func (m *Machine) resume(d Device, p *Program, pc int, start, stepBudget uint64) error {
-	if m.scope[d] == 0 {
-		return m.runDirect(d, p, pc, start, stepBudget)
-	}
-	return m.runHooked(d, p, pc, start, stepBudget)
-}
-
 // runHooked is the per-writeback fault-injection loop: every commit
 // whose opcode is in the hook's scope is offered to the hook before
-// landing; the rest commit directly. pc is the starting program
-// counter (p.entry for Run, a resume point for detached batch lanes)
-// and start is how many of this invocation's budgeted steps were
-// already executed elsewhere (always 0 for Run).
+// landing; the rest commit directly. It starts at the program entry.
 //
 // A kernel entry dispatches to its fused kernel when none of the
 // opcodes the kernel writes is in scope: the hook would have been
 // offered none of its writebacks. Once the scope on d is empty the
 // rest of the invocation continues on runDirect.
-func (m *Machine) runHooked(d Device, p *Program, pc int, start, stepBudget uint64) error {
+func (m *Machine) runHooked(d Device, p *Program, stepBudget uint64) error {
 	ds := &m.dev[d]
 	code := p.Code
 	var kmap []int32
@@ -295,8 +283,8 @@ func (m *Machine) runHooked(d Device, p *Program, pc int, start, stepBudget uint
 		kmap = p.plan.pcMap
 		kernels = p.plan.kernels
 	}
-	steps := start
-	var fused uint64
+	pc := p.entry
+	var steps, fused uint64
 	var err error
 loop:
 	for {
@@ -311,7 +299,7 @@ loop:
 		scope := m.scope[d]
 		if scope == 0 {
 			m.fusedInstr += fused
-			m.hookedInstr += steps - start - fused
+			m.hookedInstr += steps - fused
 			return m.runDirect(d, p, pc, steps, stepBudget)
 		}
 		if kmap != nil {
@@ -339,7 +327,7 @@ loop:
 		case FDIV:
 			m.writeF(ds, d, in, ds.f[in.A]/ds.f[in.B])
 		case FMA:
-			m.writeF(ds, d, in, ds.f[in.A]*ds.f[in.B]+ds.f[in.C])
+			m.writeF(ds, d, in, float64(ds.f[in.A]*ds.f[in.B])+ds.f[in.C])
 		case FMIN:
 			m.writeF(ds, d, in, math.Min(ds.f[in.A], ds.f[in.B]))
 		case FMAX:
@@ -436,14 +424,16 @@ loop:
 		}
 	}
 	m.fusedInstr += fused
-	m.hookedInstr += steps - start - fused
+	m.hookedInstr += steps - fused
 	return err
 }
 
 // runDirect is Run for a device with an empty hook scope: the same fetch /
 // decode / trap semantics, with writebacks committed straight into the
 // register file. Keep the two loops in lockstep when changing the ISA
-// (TestFuzzDirectVsHooked enforces this differentially).
+// (TestFuzzDirectVsHooked enforces this differentially). pc and start
+// are the program entry and 0 when Run dispatches here; runHooked hands
+// off its current pc and step count once the hook scope empties.
 //
 // When the program carries a tier-1 fusion plan and the machine allows
 // it, pcs that are kernel entries dispatch to the fused kernel, which
@@ -499,7 +489,7 @@ func (m *Machine) runDirect(d Device, p *Program, pc int, start, stepBudget uint
 		case FDIV:
 			ds.f[in.Dst] = ds.f[in.A] / ds.f[in.B]
 		case FMA:
-			ds.f[in.Dst] = ds.f[in.A]*ds.f[in.B] + ds.f[in.C]
+			ds.f[in.Dst] = float64(ds.f[in.A]*ds.f[in.B]) + ds.f[in.C]
 		case FMIN:
 			ds.f[in.Dst] = math.Min(ds.f[in.A], ds.f[in.B])
 		case FMAX:

@@ -90,13 +90,13 @@ func eventsEqual(t *testing.T, label string, a, b []WriteEvent) {
 	}
 }
 
-// tiersPartition checks that the four tier counters add up to every
+// tiersPartition checks that the three tier counters add up to every
 // instruction the machine retired since it was built.
 func tiersPartition(t *testing.T, label string, m *Machine) {
 	t.Helper()
-	fused, scalar, hooked, batched := m.TierCounts()
-	if got, want := fused+scalar+hooked+batched, m.InstrCount(CPU)+m.InstrCount(GPU); got != want {
-		t.Fatalf("%s: tiers %d+%d+%d+%d = %d, retired %d", label, fused, scalar, hooked, batched, got, want)
+	fused, scalar, hooked := m.TierCounts()
+	if got, want := fused+scalar+hooked, m.InstrCount(CPU)+m.InstrCount(GPU); got != want {
+		t.Fatalf("%s: tiers %d+%d+%d = %d, retired %d", label, fused, scalar, hooked, got, want)
 	}
 }
 
@@ -148,38 +148,6 @@ func TestFuzzScopedVsFiltered(t *testing.T) {
 	}
 }
 
-// TestFuzzScopedLanes extends the scope contract to lockstep lanes:
-// each lane of RunLanes carries its own scoped hook and must end
-// identical, with the identical event stream, to the same machine run
-// solo under a full-scope hook that filters in Go.
-func TestFuzzScopedLanes(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 150; iter++ {
-		p := scopedPrograms(rng)
-		width := 2 + rng.Intn(MaxLanes-1)
-		d := Device(iter % 2)
-		budget := []uint64{5, 90, 1 << 20}[iter%3]
-		lanes := make([]*Machine, width)
-		solos := make([]*Machine, width)
-		lLogs := make([][]WriteEvent, width)
-		sLogs := make([][]WriteEvent, width)
-		for k := range lanes {
-			h := randomHook(rng, p)
-			seed := int64(iter*41 + k)
-			lanes[k], solos[k] = protoMachine(200, seed), protoMachine(200, seed)
-			h.install(lanes[k], true, &lLogs[k])
-			h.install(solos[k], false, &sLogs[k])
-		}
-		errs := RunLanes(d, p, budget, lanes)
-		for k := range lanes {
-			label := fmt.Sprintf("iter=%d %s lane=%d/%d", iter, p.Name, k, width)
-			machinesEqual(t, label, lanes[k], solos[k], errs[k], solos[k].Run(d, p, budget))
-			eventsEqual(t, label, lLogs[k], sLogs[k])
-			tiersPartition(t, label, lanes[k])
-		}
-	}
-}
-
 // A kernel runs inside the hooked loop when its writes miss the scope,
 // and its instructions count as fused, not hooked.
 func TestScopedHookRunsKernels(t *testing.T) {
@@ -192,7 +160,7 @@ func TestScopedHookRunsKernels(t *testing.T) {
 	if err := m.Run(GPU, p, 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	fused, scalar, hooked, _ := m.TierCounts()
+	fused, scalar, hooked := m.TierCounts()
 	if fused == 0 || hooked == 0 || scalar != 0 {
 		t.Fatalf("fused=%d scalar=%d hooked=%d, want fused and hooked > 0, scalar 0", fused, scalar, hooked)
 	}
@@ -207,7 +175,7 @@ func TestScopedHookRunsKernels(t *testing.T) {
 	if err := m.Run(GPU, p, 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	if fused, _, _, _ := m.TierCounts(); fused != 0 {
+	if fused, _, _ := m.TierCounts(); fused != 0 {
 		t.Fatalf("full scope ran %d fused instructions", fused)
 	}
 }
@@ -222,7 +190,7 @@ func TestEmptyScopeRunsDirect(t *testing.T) {
 	if err := m.Run(GPU, p, 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	if _, scalar, hooked, _ := m.TierCounts(); hooked != 0 || scalar == 0 {
+	if _, scalar, hooked := m.TierCounts(); hooked != 0 || scalar == 0 {
 		t.Fatalf("scalar=%d hooked=%d, want a hook-free run", scalar, hooked)
 	}
 
@@ -236,7 +204,7 @@ func TestEmptyScopeRunsDirect(t *testing.T) {
 	if err := m.Run(GPU, p, 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	fused, _, hooked, _ := m.TierCounts()
+	fused, _, hooked := m.TierCounts()
 	if calls != 1 || hooked == 0 || fused == 0 {
 		t.Fatalf("calls=%d hooked=%d fused=%d: narrowing to nothing did not switch loops", calls, hooked, fused)
 	}
