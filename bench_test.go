@@ -177,15 +177,3 @@ func BenchmarkAblationECCOff(b *testing.B) {
 		emit(b, i, report.AblationECCOff(o))
 	}
 }
-
-func BenchmarkSimulationStep(b *testing.B) {
-	// Throughput of the full closed loop (render + 2 agents + physics),
-	// the unit cost behind every campaign number.
-	res := sim.Run(sim.Config{Scenario: scenario.LeadSlowdown(), Mode: sim.RoundRobin, Seed: 3})
-	steps := len(res.Trace.Steps)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Run(sim.Config{Scenario: scenario.LeadSlowdown(), Mode: sim.RoundRobin, Seed: 3})
-	}
-	b.ReportMetric(float64(steps)*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
-}

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -241,5 +242,29 @@ func TestLUTsMonotone(t *testing.T) {
 	// Left-of-center columns are positive lateral.
 	if col[0] <= 0 || col[GridW-1] >= 0 {
 		t.Errorf("column LUT sign convention wrong: %v .. %v", col[0], col[GridW-1])
+	}
+}
+
+// BenchmarkStep measures one full pipeline step (marshal-in, vision and
+// control, marshal-out; ~130k dynamic instructions) pinned to a VM tier:
+// tier0 against tier1 is the fused-kernel speedup.
+func BenchmarkStep(b *testing.B) {
+	center, left, right := sensor.NewFrame(), sensor.NewFrame(), sensor.NewFrame()
+	for i := range center {
+		center[i], left[i], right[i] = byte(i*31), byte(i*17+5), byte(i*13+9)
+	}
+	for _, tier := range []int{0, 1} {
+		b.Run(fmt.Sprintf("tier%d", tier), func(b *testing.B) {
+			ag := New("bench")
+			ag.Machine().SetMaxTier(tier)
+			in := &Input{Center: center, Left: left, Right: right, Speed: 12, Dt: 0.05, SpeedLimit: 20}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				in.FrameIndex = i
+				if _, err := ag.Step(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

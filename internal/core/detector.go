@@ -268,21 +268,21 @@ func (d *Detector) Detect(tr *trace.Trace, mode CompareMode) (Alarm, bool) {
 		}
 		lk := d.Bins.LongKey(s.V, s.A)
 		sk := d.Bins.LatKey(s.Omega, s.Alpha)
-		if lim := threshold(set.Thr, lk, set.GThr)*scale + d.Cfg.Epsilon; rwThr.Mean() > lim {
+		if lim := float64(threshold(set.Thr, lk, set.GThr)*scale) + d.Cfg.Epsilon; rwThr.Mean() > lim {
 			if overThr++; overThr >= hold {
 				return Alarm{Step: s.Step, Channel: "throttle", Value: rwThr.Mean(), Limit: lim}, true
 			}
 		} else {
 			overThr = 0
 		}
-		if lim := threshold(set.Brk, lk, set.GBrk)*scale + d.Cfg.Epsilon; rwBrk.Mean() > lim {
+		if lim := float64(threshold(set.Brk, lk, set.GBrk)*scale) + d.Cfg.Epsilon; rwBrk.Mean() > lim {
 			if overBrk++; overBrk >= hold {
 				return Alarm{Step: s.Step, Channel: "brake", Value: rwBrk.Mean(), Limit: lim}, true
 			}
 		} else {
 			overBrk = 0
 		}
-		if lim := threshold(set.Str, sk, set.GStr)*scale + d.Cfg.Epsilon; rwStr.Mean() > lim {
+		if lim := float64(threshold(set.Str, sk, set.GStr)*scale) + d.Cfg.Epsilon; rwStr.Mean() > lim {
 			if overStr++; overStr >= hold {
 				return Alarm{Step: s.Step, Channel: "steer", Value: rwStr.Mean(), Limit: lim}, true
 			}

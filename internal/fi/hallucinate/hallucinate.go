@@ -135,7 +135,7 @@ func (s *surface) perturb(agentID, step int, in *agent.Input, out *agent.Output)
 		for i := range out.Waypoints {
 			out.Waypoints[i][1] += p.Bias
 		}
-		steer := out.Controls.Steer + 0.3*p.Bias
+		steer := out.Controls.Steer + float64(0.3*p.Bias)
 		if steer > 1 {
 			steer = 1
 		} else if steer < -1 {
@@ -184,7 +184,7 @@ func (planner) Plans(seed uint64, _ *fi.Profile, _ vm.Device, model fi.Model, st
 				for a := 0; a < agents; a++ {
 					plans = append(plans, Plan{
 						Kind: k, Agent: a, Step: 0, Duration: steps,
-						Dist: 4 + 10*r.Float64(), Bias: drawBias(r),
+						Dist: 4 + float64(10*r.Float64()), Bias: drawBias(r),
 					})
 				}
 			}
@@ -200,7 +200,7 @@ func (planner) Plans(seed uint64, _ *fi.Profile, _ vm.Device, model fi.Model, st
 		plans = append(plans, Plan{
 			Kind: Kind(r.Intn(int(numKinds))), Agent: r.Intn(agents),
 			Step: start, Duration: dur,
-			Dist: 4 + 10*r.Float64(), Bias: drawBias(r),
+			Dist: 4 + float64(10*r.Float64()), Bias: drawBias(r),
 		})
 	}
 	return plans
@@ -209,7 +209,7 @@ func (planner) Plans(seed uint64, _ *fi.Profile, _ vm.Device, model fi.Model, st
 // drawBias draws a signed lateral offset of 0.5–2.0 m: below half a
 // meter the bias stays inside the lane and is almost always masked.
 func drawBias(r *rng.Rand) float64 {
-	b := 0.5 + 1.5*r.Float64()
+	b := 0.5 + float64(1.5*r.Float64())
 	if r.Bool(0.5) {
 		return -b
 	}

@@ -20,7 +20,7 @@ type Vec2 struct {
 func V2(x, y float64) Vec2 { return Vec2{X: x, Y: y} }
 
 // Add returns v + o.
-func (v Vec2) Add(o Vec2) Vec2 { return Vec2{v.X + o.X, v.Y + o.Y} }
+func (v Vec2) Add(o Vec2) Vec2 { return Vec2{float64(v.X) + float64(o.X), float64(v.Y) + float64(o.Y)} }
 
 // Sub returns v - o.
 func (v Vec2) Sub(o Vec2) Vec2 { return Vec2{v.X - o.X, v.Y - o.Y} }

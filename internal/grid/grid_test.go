@@ -15,6 +15,7 @@ import (
 	"diverseav/internal/fi"
 	"diverseav/internal/lab"
 	"diverseav/internal/obs"
+	"diverseav/internal/report"
 	"diverseav/internal/scenario"
 	"diverseav/internal/sim"
 	"diverseav/internal/vm"
@@ -43,14 +44,14 @@ func testCampaign() lab.CampaignSpec {
 
 // startCoordinator serves c over a loopback httptest server and returns
 // the bare addr workers dial.
-func startCoordinator(t *testing.T, c *Coordinator) string {
+func startCoordinator(t testing.TB, c *Coordinator) string {
 	t.Helper()
 	srv := httptest.NewServer(c.Handler())
 	t.Cleanup(srv.Close)
 	return strings.TrimPrefix(srv.URL, "http://")
 }
 
-func startWorkers(t *testing.T, addr string, n int) *sync.WaitGroup {
+func startWorkers(t testing.TB, addr string, n int) *sync.WaitGroup {
 	t.Helper()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -364,5 +365,29 @@ func TestGridLedgerMerge(t *testing.T) {
 	}
 	if localSpans == 0 {
 		t.Error("no coordinator-side spans in the merged ledger")
+	}
+}
+
+// BenchmarkGridStudy runs the bench-size study through a coordinator over
+// a disk store and two loopback workers (which, like the lab here, run the
+// shortened LeadSlowdown): against campbench's study workload, the
+// fabric's overhead of artifact transfer and job leasing.
+func BenchmarkGridStudy(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		store, err := lab.NewDiskStore(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		c := NewCoordinator(store, Config{})
+		wg := startWorkers(b, startCoordinator(b, c), 2)
+		o := report.BenchOptions()
+		o.Lab = lab.New()
+		o.Lab.RegisterScenario(shortLeadSlowdown())
+		o.Lab.SetStore(store)
+		o.Lab.SetRemote(c)
+		report.NewStudy(o)
+		c.Close()
+		c.Drain(2 * time.Second)
+		wg.Wait()
 	}
 }

@@ -61,11 +61,11 @@ func (f *LaneFollower) Step(dt float64) {
 	}
 
 	// Lateral: pure pursuit on a lookahead point.
-	look := f.Lookahead + 0.5*v.State.V
+	look := f.Lookahead + float64(0.5*v.State.V)
 	target := f.Path.At(st + look)
 	local := v.State.Pose.ToLocal(target)
 	if local.X > 0.1 {
-		curvature := 2 * local.Y / (local.X*local.X + local.Y*local.Y)
+		curvature := 2 * local.Y / (float64(local.X*local.X) + float64(local.Y*local.Y))
 		steerAngle := math.Atan(curvature * Wheelbase)
 		c.Steer = geom.Clamp(steerAngle/MaxSteerAngle, -1, 1)
 	}

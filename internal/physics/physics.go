@@ -92,8 +92,8 @@ func (v *Vehicle) Step(c Controls, dt float64) {
 	c = c.Clamp()
 	s := &v.State
 
-	accel := c.Throttle*MaxAccel - c.Brake*MaxBrake - DragCoeff*s.V
-	newV := geom.Clamp(s.V+accel*dt, 0, MaxSpeed)
+	accel := float64(c.Throttle*MaxAccel) - float64(c.Brake*MaxBrake) - float64(DragCoeff*s.V)
+	newV := geom.Clamp(s.V+float64(accel*dt), 0, MaxSpeed)
 	// Report the realized acceleration (after clamping), which is what
 	// an IMU would measure.
 	s.A = (newV - s.V) / dt
@@ -107,7 +107,7 @@ func (v *Vehicle) Step(c Controls, dt float64) {
 	s.AlphaDot = (newOmega - s.Omega) / dt
 	s.Omega = newOmega
 
-	s.Pose.Yaw = geom.NormalizeAngle(s.Pose.Yaw + s.Omega*dt)
+	s.Pose.Yaw = geom.NormalizeAngle(s.Pose.Yaw + float64(s.Omega*dt))
 	s.Pose.Pos = s.Pose.Pos.Add(s.Pose.Forward().Scale(s.V * dt))
 }
 

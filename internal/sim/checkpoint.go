@@ -102,7 +102,7 @@ func (r *runner) snapshot(step int) *Checkpoint {
 	if in := instruments(); in != nil && cp.Env != nil {
 		// A non-nil Env marks a recycled buffer (New produces zero
 		// Checkpoints): pool reuse is exactly what the allocation
-		// numbers in BENCH_*.json depend on, so surface it.
+		// numbers of lab.BenchmarkCampaign depend on, so surface it.
 		in.cpReuse.Inc()
 	}
 	cp.Scenario = r.cfg.Scenario.Name

@@ -141,3 +141,48 @@ func TestReceives(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkSimRun measures closed-loop throughput over full LeadSlowdown
+// runs at seed 3, the unit cost behind every campaign number. roundrobin
+// against -serial is the camera fan-out against the inline render, and
+// duplicate against -tier0 is the tier-1 kernel speedup.
+func BenchmarkSimRun(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"roundrobin", Config{Mode: RoundRobin}},
+		{"roundrobin-serial", Config{Mode: RoundRobin, SerialRender: true}},
+		{"duplicate", Config{Mode: Duplicate}},
+		{"duplicate-tier0", Config{Mode: Duplicate, ForceVMTier0: true}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := bc.cfg
+			cfg.Scenario, cfg.Seed = scenario.LeadSlowdown(), 3
+			steps := len(Run(cfg).Trace.Steps) // also warms compiled programs and the worker pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Run(cfg)
+			}
+			b.ReportMetric(float64(steps)*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
+		})
+	}
+}
+
+// BenchmarkRunFrom measures one fork: LeadSlowdown resumed from its
+// midpoint checkpoint (interval 50, the lab's default). steps/s counts
+// the whole trace, half of it restored.
+func BenchmarkRunFrom(b *testing.B) {
+	cfg := Config{Scenario: scenario.LeadSlowdown(), Mode: RoundRobin, Seed: 3}
+	res := Run(Config{Scenario: cfg.Scenario, Mode: cfg.Mode, Seed: cfg.Seed, CheckpointEvery: 50})
+	cp := res.Checkpoints[len(res.Checkpoints)/2]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunFrom(cp, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(res.Trace.Steps))*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
+}

@@ -46,19 +46,3 @@ func TestRunTierEquivalenceUnderFault(t *testing.T) {
 		t.Fatalf("faulted tier-1 trace diverged from tier-0: %s vs %s", h1, h0)
 	}
 }
-
-// BenchmarkSimRun is the closed-loop throughput benchmark CI's smoke
-// step runs (one iteration) to catch gross sim-path breakage; locally
-// it measures steps/s on the duplicate mode, the configuration the
-// tier-1 kernels speed up most.
-func BenchmarkSimRun(b *testing.B) {
-	sc := shortScenario()
-	cfg := Config{Scenario: sc, Mode: Duplicate, Seed: 5}
-	Run(cfg) // warm shared state (compiled programs, worker pool)
-	steps := int(sc.Duration * Hz)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Run(cfg)
-	}
-	b.ReportMetric(float64(steps)*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
-}

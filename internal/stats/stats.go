@@ -30,14 +30,14 @@ func percentileSorted(s []float64, p float64) float64 {
 	if p >= 100 {
 		return s[len(s)-1]
 	}
-	rank := p / 100 * float64(len(s)-1)
+	rank := float64(p / 100 * float64(len(s)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -62,7 +62,7 @@ func StdDev(xs []float64) float64 {
 	ss := 0.0
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(n-1))
 }
@@ -162,7 +162,7 @@ func (h *Histogram) Percentile(p float64) float64 {
 	for i, c := range h.Counts {
 		cum += c
 		if cum >= target {
-			return h.Lo + (float64(i)+0.5)*width
+			return h.Lo + float64((float64(i)+0.5)*width)
 		}
 	}
 	return h.Hi
@@ -286,7 +286,7 @@ func WilsonCI(successes, n int, z float64) (lo, hi float64) {
 	z2 := z * z
 	denom := 1 + z2/nn
 	center := p + z2/(2*nn)
-	margin := z * math.Sqrt(p*(1-p)/nn+z2/(4*nn*nn))
+	margin := float64(z * math.Sqrt(p*(1-p)/nn+z2/(4*nn*nn)))
 	lo = (center - margin) / denom
 	hi = (center + margin) / denom
 	if lo < 0 {

@@ -71,7 +71,7 @@ func (tl *TrafficLight) StateAt(t float64) LightState {
 		return Green
 	}
 	phase := t + tl.PhaseSec
-	phase -= float64(int(phase/cycle)) * cycle
+	phase -= float64(float64(int(phase/cycle)) * cycle)
 	if phase < 0 {
 		phase += cycle
 	}
