@@ -149,14 +149,14 @@ func (a *Agent) DigestFNV(h uint64) uint64 { return a.mach.DigestFNV(h) }
 // snapshot; see vm.Machine.StateEquals.
 func (a *Agent) StateEquals(st *vm.MachineState) bool { return a.mach.StateEquals(st) }
 
-// marshalFrame subsamples one camera frame into the staging buffer:
-// every other column always, every other row for side cameras.
-func marshalFrame(mem []float64, base int64, f sensor.Frame, rowStride int) {
+// marshalFrame copies the pixels of sample grid g of one camera frame
+// into the staging buffer, row by row.
+func marshalFrame(mem []float64, base int64, f sensor.Frame, g sensor.Grid) {
 	idx := base
-	for v := 0; v < sensor.FrameH; v += rowStride {
+	for v := 0; v < sensor.FrameH; v += g.Row {
 		row := v * sensor.FrameW * 3
-		for ug := 0; ug < GridW; ug++ {
-			p := row + (2*ug)*3
+		for u := 0; u < sensor.FrameW; u += g.Col {
+			p := row + u*3
 			mem[idx] = float64(f[p])
 			mem[idx+1] = float64(f[p+1])
 			mem[idx+2] = float64(f[p+2])
@@ -165,20 +165,25 @@ func marshalFrame(mem []float64, base int64, f sensor.Frame, rowStride int) {
 	}
 }
 
+// marshalInput writes the host-side inputs of one frame: the scalars
+// and the three cameras' sample grids.
+func marshalInput(mem []float64, in *Input) {
+	mem[AddrScalarIn+0] = in.Speed
+	mem[AddrScalarIn+1] = in.Dt
+	mem[AddrScalarIn+2] = in.SpeedLimit
+	mem[AddrScalarIn+3] = float64(in.FrameIndex)
+	marshalFrame(mem, AddrStageCenter, in.Center, CenterGrid)
+	marshalFrame(mem, AddrStageLeft, in.Left, SideGrid)
+	marshalFrame(mem, AddrStageRight, in.Right, SideGrid)
+}
+
 // Step delivers one sensor frame to the agent and runs its full pipeline
 // (CPU marshal-in → GPU vision/control → CPU marshal-out). A returned
 // error is a DUE: the platform (OS / scenario manager analogue) detected
 // a crash or hang of the agent process.
 func (a *Agent) Step(in *Input) (Output, error) {
 	mem := a.mach.Mem()
-	mem[AddrScalarIn+0] = in.Speed
-	mem[AddrScalarIn+1] = in.Dt
-	mem[AddrScalarIn+2] = in.SpeedLimit
-	mem[AddrScalarIn+3] = float64(in.FrameIndex)
-	marshalFrame(mem, AddrStageCenter, in.Center, 1)
-	marshalFrame(mem, AddrStageLeft, in.Left, 2)
-	marshalFrame(mem, AddrStageRight, in.Right, 2)
-
+	marshalInput(mem, in)
 	if err := a.mach.Run(vm.CPU, a.cpuIn, budgetCPUIn); err != nil {
 		return Output{}, fmt.Errorf("agent %s: %w", a.Name, err)
 	}

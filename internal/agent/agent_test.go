@@ -268,3 +268,41 @@ func BenchmarkStep(b *testing.B) {
 		})
 	}
 }
+
+// TestMarshalReadsOnlySampleGrid pins the render grid to the read grid:
+// staging memory marshalled from frames rendered on CenterGrid and
+// SideGrid alone equals staging memory marshalled from full frames.
+func TestMarshalReadsOnlySampleGrid(t *testing.T) {
+	lead := sensor.RenderObstacle{Pose: geom.Pose{Pos: geom.V2(9, 1.2)}, HalfL: 2.25, HalfW: 1.0, Braking: true}
+	side := sensor.RenderObstacle{Pose: geom.Pose{Pos: geom.V2(5, 6)}, HalfL: 2.25, HalfW: 1.0}
+	sc := &sensor.Scene{
+		EgoPose:         geom.Pose{},
+		RoadCenterAhead: func(float64) float64 { return 1.75 },
+		RoadHalfWidth:   3.5,
+		LaneMarkOffsets: []float64{-3.5, 0, 3.5},
+		Obstacles:       []sensor.RenderObstacle{lead, side},
+		StopBars:        []sensor.StopBar{{Dist: 12}},
+		Step:            3,
+		NoiseSeed:       99,
+		NoiseStd:        1.2,
+	}
+	full := &Input{
+		Center: sensor.Render(sensor.CamCenter, sc, nil),
+		Left:   sensor.Render(sensor.CamLeft, sc, nil),
+		Right:  sensor.Render(sensor.CamRight, sc, nil),
+	}
+	sampled := &Input{
+		Center: sensor.RenderGrid(sensor.CamCenter, sc, CenterGrid, nil),
+		Left:   sensor.RenderGrid(sensor.CamLeft, sc, SideGrid, nil),
+		Right:  sensor.RenderGrid(sensor.CamRight, sc, SideGrid, nil),
+	}
+	want := make([]float64, MemWords)
+	got := make([]float64, MemWords)
+	marshalInput(want, full)
+	marshalInput(got, sampled)
+	for i := AddrStage; i < AddrStage+stageLen; i++ {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("staging word %d = %v from sampled frames, %v from full frames", i, got[i], want[i])
+		}
+	}
+}

@@ -105,14 +105,7 @@ func TestAgentProgramsDifferential(t *testing.T) {
 			SpeedLimit: 20,
 			FrameIndex: frame,
 		}
-		mem := a.mach.Mem()
-		mem[AddrScalarIn+0] = in.Speed
-		mem[AddrScalarIn+1] = in.Dt
-		mem[AddrScalarIn+2] = in.SpeedLimit
-		mem[AddrScalarIn+3] = float64(in.FrameIndex)
-		marshalFrame(mem, AddrStageCenter, in.Center, 1)
-		marshalFrame(mem, AddrStageLeft, in.Left, 2)
-		marshalFrame(mem, AddrStageRight, in.Right, 2)
+		marshalInput(a.mach.Mem(), in)
 
 		for stage := 0; stage < 3; stage++ {
 			st := a.mach.Snapshot()

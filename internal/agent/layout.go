@@ -16,16 +16,32 @@ package agent
 
 import "diverseav/internal/sensor"
 
-// Perception grid geometry. The vision planner subsamples every camera
-// by 2 horizontally; the center camera keeps full vertical resolution
-// (longitudinal distance accuracy comes from ground rows), while the
-// side cameras are subsampled vertically too.
+// Sample pattern: the pixels of each camera the vision planner reads.
+// It subsamples every camera by ColStride horizontally; the center
+// camera keeps full vertical resolution (longitudinal distance accuracy
+// comes from ground rows), while the side cameras are subsampled
+// vertically too. marshalFrame reads through CenterGrid and SideGrid,
+// and the simulator renders only those grids, so the rendered and the
+// read pixels cannot drift apart.
 const (
-	GridW = sensor.FrameW / 2 // 32 columns, all cameras
+	ColStride       = 2
+	CenterRowStride = 1
+	SideRowStride   = 2
+)
+
+// CenterGrid and SideGrid are the sample pattern as render grids.
+var (
+	CenterGrid = sensor.Grid{Col: ColStride, Row: CenterRowStride}
+	SideGrid   = sensor.Grid{Col: ColStride, Row: SideRowStride}
+)
+
+// Perception grid geometry.
+const (
+	GridW = sensor.FrameW / ColStride // 32 columns, all cameras
 	// Center camera rows (full vertical resolution).
-	CenterH = sensor.FrameH // 40
+	CenterH = sensor.FrameH / CenterRowStride // 40
 	// Side camera rows (half vertical resolution).
-	SideH = sensor.FrameH / 2 // 20
+	SideH = sensor.FrameH / SideRowStride // 20
 
 	CenterPx = GridW * CenterH // 1280
 	SidePx   = GridW * SideH   // 640
@@ -151,7 +167,7 @@ func RowDistCenterLUT() [CenterH]float64 {
 func RowDistSideLUT() [SideH]float64 {
 	var lut [SideH]float64
 	for rg := 0; rg < SideH; rg++ {
-		d := sensor.RowDistance(2 * rg)
+		d := sensor.RowDistance(SideRowStride * rg)
 		if d > sensor.MaxGroundDist {
 			d = sensor.MaxGroundDist
 		}
@@ -165,7 +181,7 @@ func RowDistSideLUT() [SideH]float64 {
 func ColLatLUT() [GridW]float64 {
 	var lut [GridW]float64
 	for cg := 0; cg < GridW; cg++ {
-		lut[cg] = sensor.ColLateral(2*cg, 1.0)
+		lut[cg] = sensor.ColLateral(ColStride*cg, 1.0)
 	}
 	return lut
 }

@@ -38,7 +38,11 @@ const (
 // FrameHook observes (and may corrupt in place) the rendered camera
 // frames of one simulation step, after rendering and before the
 // distributor hands them to any agent. frames[0] is the center camera,
-// frames[1] left, frames[2] right.
+// frames[1] left, frames[2] right. A run renders only the pixels the
+// agents read (agent.CenterGrid, agent.SideGrid) unless a StepHook
+// observes whole frames, so the bytes of pixels off those grids are
+// unspecified: a hook may rewrite them, but nothing downstream reads
+// them.
 type FrameHook func(step int, frames *[3]sensor.Frame)
 
 // OutputHook observes (and may perturb in place) one agent's pipeline

@@ -190,9 +190,14 @@ func (c *Cursor) seek(s float64) int {
 }
 
 // At returns the position at station s (clamped), like Polyline.At.
+// It is PoseAt without the heading's atan2, which the rasterizer's
+// per-pixel road-center lookup does not need.
 func (c *Cursor) At(s float64) Vec2 {
-	pos, _ := c.PoseAt(s)
-	return pos
+	p := c.p
+	s = Clamp(s, 0, p.Length())
+	i := c.seek(s)
+	t := (s - p.cum[i]) / (p.cum[i+1] - p.cum[i])
+	return p.pts[i].Lerp(p.pts[i+1], t)
 }
 
 // PoseAt returns the position and tangent heading at station s

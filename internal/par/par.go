@@ -124,39 +124,12 @@ func ForEach(n int, fn func(int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var panicOnce sync.Once
-	var panicVal any
-	work := func() {
-		if in != nil {
-			in.active.Add(1)
-			defer in.active.Add(-1)
-		}
-		defer func() {
-			if p := recover(); p != nil {
-				panicOnce.Do(func() { panicVal = p })
-				// Park the cursor past the end so no goroutine starts
-				// another iteration.
-				next.Store(int64(n))
-			}
-		}()
-		for {
-			i := next.Add(1) - 1
-			if i >= int64(n) {
-				return
-			}
-			fn(int(i))
-		}
-	}
-	var wg sync.WaitGroup
-	helper := func() {
-		work()
-		wg.Done()
-	}
+	l := loops.Get().(*loop)
+	l.n, l.fn, l.in = int64(n), fn, in
 	// One token is already held; offer up to n-1 helpers in all.
 	for offered := 1; ; offered++ {
-		wg.Add(1)
-		taskCh <- helper // never blocks: the token reserves a buffer slot
+		l.wg.Add(1)
+		taskCh <- l.helper // never blocks: the token reserves a buffer slot
 		if in != nil {
 			in.recruited.Inc()
 		}
@@ -164,10 +137,68 @@ func ForEach(n int, fn func(int)) {
 			break
 		}
 	}
-	work()
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
+	l.work()
+	l.wg.Wait()
+	p := l.panicVal
+	l.next.Store(0)
+	l.panicked.Store(false)
+	l.fn, l.in, l.panicVal = nil, nil, nil
+	loops.Put(l)
+	if p != nil {
+		panic(p)
+	}
+}
+
+// loop is the shared state of one recruiting ForEach call. It is pooled,
+// and its helper method value is bound once when the loop is first
+// allocated, so a loop that hands iterations to pool workers allocates
+// nothing in the steady state (the sim's per-step camera fan-out).
+type loop struct {
+	next     atomic.Int64 // the next iteration to claim
+	n        int64
+	fn       func(int)
+	in       *poolInstruments
+	wg       sync.WaitGroup // recruited helpers still running
+	panicked atomic.Bool
+	panicVal any    // the first panic; read after wg.Wait
+	helper   func() // l.help, handed to pool workers
+}
+
+var loops = sync.Pool{New: func() any {
+	l := &loop{}
+	l.helper = l.help
+	return l
+}}
+
+// help runs iterations on a pool worker. The loop may be recycled as
+// soon as wg.Done returns, so help touches nothing after it.
+func (l *loop) help() {
+	l.work()
+	l.wg.Done()
+}
+
+// work claims and runs iterations until none are left. A panicking
+// iteration records the first panic and parks the cursor past the end
+// so no goroutine starts another iteration.
+func (l *loop) work() {
+	if l.in != nil {
+		l.in.active.Add(1)
+		defer l.in.active.Add(-1)
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			if l.panicked.CompareAndSwap(false, true) {
+				l.panicVal = p
+			}
+			l.next.Store(l.n)
+		}
+	}()
+	for {
+		i := l.next.Add(1) - 1
+		if i >= l.n {
+			return
+		}
+		l.fn(int(i))
 	}
 }
 

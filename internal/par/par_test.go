@@ -248,3 +248,46 @@ func TestBusyLoopRunsInline(t *testing.T) {
 		t.Fatalf("busy-pool child failed: %v\n%s", err, out)
 	}
 }
+
+// recruitChildEnv marks the re-executed test binary of
+// TestRecruitingLoopAllocs.
+const recruitChildEnv = "PAR_RECRUIT_CHILD"
+
+func TestRecruitingLoopAllocs(t *testing.T) {
+	// A loop that hands iterations to a pool worker (the sim's per-step
+	// camera fan-out on an idle pool) must not allocate in the steady
+	// state: its loop state is pooled and its helper bound once. A fresh
+	// child at GOMAXPROCS=2 has exactly one worker; each loop waits for
+	// its token so that every measured loop recruits.
+	if os.Getenv(recruitChildEnv) == "1" {
+		obs.Enable()
+		var sum atomic.Int64
+		fn := func(i int) { sum.Add(int64(i)) }
+		recruited := obs.C("par.recruited")
+		before := recruited.Value()
+		const runs = 100
+		start()
+		allocs := testing.AllocsPerRun(runs, func() {
+			for idle.Load() == 0 {
+				runtime.Gosched()
+			}
+			ForEach(3, fn)
+		})
+		if allocs != 0 {
+			t.Errorf("recruiting ForEach(3) allocated %.1f times per loop, want 0", allocs)
+		}
+		// AllocsPerRun makes one warm-up call before the measured runs.
+		if got := recruited.Value() - before; got != runs+1 {
+			t.Errorf("par.recruited counted %d helpers, want %d", got, runs+1)
+		}
+		if got := sum.Load(); got != 3*(runs+1) {
+			t.Errorf("loops summed %d, want %d", got, 3*(runs+1))
+		}
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRecruitingLoopAllocs$", "-test.count=1")
+	cmd.Env = append(os.Environ(), recruitChildEnv+"=1", "GOMAXPROCS=2")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("recruiting child failed: %v\n%s", err, out)
+	}
+}

@@ -103,7 +103,7 @@ func (r *Rand) Norm() float64 {
 // NormScaled returns a normal variate with the given mean and standard
 // deviation.
 func (r *Rand) NormScaled(mean, stddev float64) float64 {
-	return mean + stddev*r.Norm()
+	return mean + float64(stddev*r.Norm())
 }
 
 // Perm returns a random permutation of [0, n).

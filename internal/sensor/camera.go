@@ -182,7 +182,7 @@ type Projection struct {
 
 // Center returns the bounding-box center in pixel coordinates.
 func (p Projection) Center() (u, v float64) {
-	return p.UC, p.VBottom - p.Height/2
+	return p.UC, p.VBottom - float64(p.Height/2)
 }
 
 // Project computes an obstacle's image footprint in the given camera, and
@@ -194,7 +194,7 @@ func Project(cam CameraID, ego geom.Pose, o *RenderObstacle) (Projection, bool) 
 		return Projection{}, false
 	}
 	relYaw := geom.AngleDiff(o.Pose.Yaw, camPose.Yaw)
-	halfW := math.Abs(math.Cos(relYaw))*o.HalfW + math.Abs(math.Sin(relYaw))*o.HalfL
+	halfW := float64(math.Abs(math.Cos(relYaw))*o.HalfW) + float64(math.Abs(math.Sin(relYaw))*o.HalfL)
 	xNear := local.X - o.HalfL
 	if xNear < 0.5 {
 		xNear = 0.5
@@ -235,9 +235,9 @@ func init() {
 	}
 	for v := 0; v <= HorizonRow; v++ {
 		t := float64(v) / float64(HorizonRow)
-		skyCol[v][0] = colSkyTop[0] + (colSkyBot[0]-colSkyTop[0])*t
-		skyCol[v][1] = colSkyTop[1] + (colSkyBot[1]-colSkyTop[1])*t
-		skyCol[v][2] = colSkyTop[2] + (colSkyBot[2]-colSkyTop[2])*t
+		skyCol[v][0] = colSkyTop[0] + float64((colSkyBot[0]-colSkyTop[0])*t)
+		skyCol[v][1] = colSkyTop[1] + float64((colSkyBot[1]-colSkyTop[1])*t)
+		skyCol[v][2] = colSkyTop[2] + float64((colSkyBot[2]-colSkyTop[2])*t)
 		for u := 0; u < FrameW; u++ {
 			skyCloud[v*FrameW+u] = 6 * noiseUnit(hash2(uint64(u/8), uint64(v/4)+977))
 		}
@@ -249,30 +249,61 @@ func init() {
 			for u := 0; u < FrameW; u++ {
 				lat := ColLateral(u, d)
 				gi := (v-HorizonRow-1)*FrameW + u
-				groundEx[cam][gi] = d*cosY - lat*sinY
-				groundEy[cam][gi] = d*sinY + lat*cosY
+				groundEx[cam][gi] = float64(d*cosY) - float64(lat*sinY)
+				groundEy[cam][gi] = float64(d*sinY) + float64(lat*cosY)
 			}
 		}
 	}
 }
 
-// Render rasterizes the scene from the given camera into dst (allocated
-// if nil) and returns it. Render does not mutate the scene, so the three
-// cameras of one frame may render concurrently into disjoint frames.
+// Grid is a pixel sample grid: the columns that are multiples of Col in
+// the rows that are multiples of Row. A consumer that reads only part of
+// a frame (the agent's vision planner subsamples every camera) asks
+// RenderGrid for just those pixels.
+type Grid struct {
+	Col, Row int
+}
+
+// FullGrid samples every pixel.
+var FullGrid = Grid{Col: 1, Row: 1}
+
+// gridStart returns the first multiple of stride at or above max(lo, 0):
+// where a loop over a grid's rows or columns starts inside [lo, …).
+func gridStart(lo, stride int) int {
+	lo = max(lo, 0)
+	return (lo + stride - 1) / stride * stride
+}
+
+// Render rasterizes the whole frame from the given camera into dst
+// (allocated if nil) and returns it: RenderGrid over FullGrid.
 func Render(cam CameraID, sc *Scene, dst Frame) Frame {
+	return RenderGrid(cam, sc, FullGrid, dst)
+}
+
+// RenderGrid rasterizes the pixels of grid g from the given camera into
+// dst (allocated if nil) and returns it. A pixel's bytes depend only on
+// (camera, u, v, scene), so every grid pixel is byte-identical to
+// Render's; pixels off the grid keep whatever dst held. RenderGrid does
+// not mutate the scene, so the three cameras of one frame may render
+// concurrently into disjoint frames.
+func RenderGrid(cam CameraID, sc *Scene, grid Grid, dst Frame) Frame {
+	if grid.Col < 1 || grid.Row < 1 {
+		panic("sensor: RenderGrid: grid strides must be positive")
+	}
 	if dst == nil {
 		dst = NewFrame()
 	}
+	du, dv := grid.Col, grid.Row
 	camYaw := cam.YawOffset()
 	frameKey := hash2(sc.NoiseSeed, uint64(sc.Step)<<3|uint64(cam))
 	noiseAmp := sc.NoiseStd * 2
 
 	// Sky rows.
-	for v := 0; v <= HorizonRow; v++ {
+	for v := 0; v <= HorizonRow; v += dv {
 		r, g, b := skyCol[v][0], skyCol[v][1], skyCol[v][2]
 		row := v * FrameW
-		for u := 0; u < FrameW; u++ {
-			n := noiseAmp * noiseUnit(hash64(frameKey^pixHash[row+u]))
+		for u := 0; u < FrameW; u += du {
+			n := float64(noiseAmp * noiseUnit(hash64(frameKey^pixHash[row+u])))
 			cl := skyCloud[row+u]
 			dst.set(u, v, r+n+cl, g+n+cl, b+n+cl)
 		}
@@ -297,15 +328,15 @@ func Render(cam CameraID, sc *Scene, dst Frame) Frame {
 	// memo slot removes most station lookups.
 	lastEx := math.Inf(-1)
 	var lastCenter float64
-	for v := HorizonRow + 1; v < FrameH; v++ {
+	for v := gridStart(HorizonRow+1, dv); v < FrameH; v += dv {
 		gi := (v - HorizonRow - 1) * FrameW
 		row := v * FrameW
-		for u := 0; u < FrameW; u++ {
+		for u := 0; u < FrameW; u += du {
 			ex := exLUT[gi+u]
 			ey := eyLUT[gi+u]
 			// Ground point in world frame.
-			wx := px + (ex*cW - ey*sW)
-			wy := py + (ex*sW + ey*cW)
+			wx := px + (float64(ex*cW) - float64(ey*sW))
+			wy := py + (float64(ex*sW) + float64(ey*cW))
 			var r, g, b float64
 			if ex <= 0.3 {
 				r, g, b = colGrass[0], colGrass[1], colGrass[2]
@@ -319,7 +350,7 @@ func Render(cam CameraID, sc *Scene, dst Frame) Frame {
 					// the route point at station RouteStation+ex,
 					// rotated into the ego frame, plus the lane offset.
 					p := cur.At(sc.RouteStation + ex)
-					center = (p.X-px)*sT + (p.Y-py)*cT + sc.RouteCenterOffset
+					center = float64((p.X-px)*sT) + float64((p.Y-py)*cT) + sc.RouteCenterOffset
 				default:
 					center = sc.RoadCenterAhead(ex)
 				}
@@ -351,8 +382,8 @@ func Render(cam CameraID, sc *Scene, dst Frame) Frame {
 			}
 			// World-anchored texture makes consecutive frames bit-diverse
 			// as the vehicle moves.
-			tex := 7 * worldTexture(wx, wy)
-			n := noiseAmp * noiseUnit(hash64(frameKey^pixHash[row+u]))
+			tex := float64(7 * worldTexture(wx, wy))
+			n := float64(noiseAmp * noiseUnit(hash64(frameKey^pixHash[row+u])))
 			dst.set(u, v, r+tex+n, g+tex+n, b+tex+n)
 		}
 	}
@@ -386,8 +417,8 @@ func Render(cam CameraID, sc *Scene, dst Frame) Frame {
 		if !ok {
 			continue
 		}
-		u0 := int(math.Floor(proj.UC - proj.Width/2))
-		u1 := int(math.Ceil(proj.UC + proj.Width/2))
+		u0 := int(math.Floor(proj.UC - float64(proj.Width/2)))
+		u1 := int(math.Ceil(proj.UC + float64(proj.Width/2)))
 		v1 := int(math.Floor(proj.VBottom))
 		v0 := int(math.Ceil(proj.VBottom - proj.Height))
 		if v1 >= FrameH {
@@ -396,20 +427,21 @@ func Render(cam CameraID, sc *Scene, dst Frame) Frame {
 		if v0 < 0 {
 			v0 = 0
 		}
-		brakeTop := proj.VBottom - 0.35*proj.Height
-		for v := v0; v <= v1; v++ {
-			for u := u0; u <= u1; u++ {
-				if u < 0 || u >= FrameW {
-					continue
-				}
+		brakeTop := proj.VBottom - float64(0.35*proj.Height)
+		// The shading hash is keyed on the offset from (u0, v0), so the
+		// loops start at the first grid pixel inside the box and leave
+		// u0 and v0 as they are.
+		uEnd := min(u1, FrameW-1)
+		for v := gridStart(v0, dv); v <= v1; v += dv {
+			for u := gridStart(u0, du); u <= uEnd; u += du {
 				r, g, b := colCar[0], colCar[1], colCar[2]
 				if o.Braking && float64(v) >= brakeTop {
 					r, g, b = colBrake[0], colBrake[1], colBrake[2]
 				}
 				// Body shading varies with surface position (anchored to
 				// the obstacle, so it moves with it) plus sensor noise.
-				sh := 8 * noiseUnit(hash2(uint64(u-u0), uint64(v-v0)+31))
-				n := noiseAmp * noiseUnit(hash64(frameKey^pixHashOb[v*FrameW+u]))
+				sh := float64(8 * noiseUnit(hash2(uint64(u-u0), uint64(v-v0)+31)))
+				n := float64(noiseAmp * noiseUnit(hash64(frameKey^pixHashOb[v*FrameW+u])))
 				dst.set(u, v, r+sh+n, g+sh+n, b+sh+n)
 			}
 		}

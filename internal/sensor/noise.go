@@ -25,7 +25,7 @@ func hash2(a, b uint64) uint64 { return hash64(a ^ hash64(b)) }
 
 // noiseUnit maps a hash to a uniform value in [-1, 1).
 func noiseUnit(h uint64) float64 {
-	return float64(int64(h>>11))/(1<<52) - 1
+	return float64(float64(int64(h>>11))/(1<<52)) - 1
 }
 
 // worldTexture returns a luminance perturbation in [-1, 1] anchored at a

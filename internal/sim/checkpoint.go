@@ -27,7 +27,8 @@ import (
 // the ego route-projection cursor, and the trace prefix.
 //
 // What is deliberately NOT captured: camera frames and render scratch
-// (every pixel is rewritten each step before use), compiled agent
+// (every pixel an agent reads is rewritten each step before use; the
+// rest is never read), compiled agent
 // programs and raster LUTs (immutable), towns/routes/polylines (shared
 // read-only, including mid-run merge paths, which FollowerState keeps
 // by pointer), and fault hooks (run configuration, re-wired by

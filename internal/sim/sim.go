@@ -199,8 +199,8 @@ type runner struct {
 	// Per-run scratch, reused every step so the hot loop allocates
 	// nothing: the scene (with its obstacle and stop-bar slices), the
 	// camera frame buffers, and the NPC vehicle list for collision/CVIP
-	// checks. None of it is checkpointed: every field is fully rewritten
-	// each step before use.
+	// checks. None of it is checkpointed: every field, and every frame
+	// pixel an agent reads, is rewritten each step before use.
 	frames      [3]sensor.Frame
 	scene       *sensor.Scene
 	vehicles    []*physics.Vehicle
@@ -330,8 +330,14 @@ func newRunner(cfg Config) *runner {
 	}
 	r.egoSt, _ = r.env.Route.Path.Project(r.env.Ego.State.Pose.Pos)
 	r.vehicles = make([]*physics.Vehicle, 0, len(r.env.NPCs))
+	grids := agentGrids
+	if cfg.StepHook != nil {
+		// The step observer (Fig 5b bit diversity, the visualizer) sees
+		// whole frames; agents read only their grids either way.
+		grids = [3]sensor.Grid{sensor.FullGrid, sensor.FullGrid, sensor.FullGrid}
+	}
 	r.renderCam = func(i int) {
-		sensor.Render(renderOrder[i], r.scene, r.frames[i])
+		sensor.RenderGrid(renderOrder[i], r.scene, grids[i], r.frames[i])
 	}
 	return r
 }
@@ -415,7 +421,8 @@ func (r *runner) stepWorld(step int) {
 	// the sensor and the distributor: every agent that receives this
 	// step's frame sees the corrupted bytes, exactly like a faulty
 	// camera link. (StepHook observers therefore see them too — the
-	// visualizer shows what the agents saw.) ECC-off memory flips
+	// visualizer shows what the agents saw; with a StepHook set the
+	// frames are rendered whole.) ECC-off memory flips
 	// (fi/memfault) land here too, before any agent executes.
 	for _, hook := range r.frameHooks {
 		hook(step, &r.frames)
@@ -602,6 +609,10 @@ var laneMarkOffsets = []float64{-3.5, 0, 3.5}
 // renderOrder maps frame-buffer index to camera: frames[0] is center,
 // frames[1] left, frames[2] right (the agent input layout).
 var renderOrder = [3]sensor.CameraID{sensor.CamCenter, sensor.CamLeft, sensor.CamRight}
+
+// agentGrids is the pixel sample grid the agents read from each frame
+// buffer, and so the only pixels a run without a StepHook renders.
+var agentGrids = [3]sensor.Grid{agent.CenterGrid, agent.SideGrid, agent.SideGrid}
 
 // npcVehicles refreshes the reusable NPC vehicle list (scripts may add
 // NPCs mid-run; the common case is a stable set).
