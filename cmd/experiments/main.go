@@ -40,8 +40,6 @@ func main() {
 		out        = flag.String("o", "", "write the report to this file as well as stdout")
 		telemetry  = flag.String("telemetry", "", "write a JSONL run ledger (job spans + end-of-run metrics) to this file")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (e.g. localhost:6060)")
-		noSplice   = flag.Bool("no-splice", false, "disable reconvergence splicing (A/B switch; reports are byte-identical, only slower)")
-		laneWidth  = flag.Int("lane-width", 0, "transient lane-group width: 0 = default, negative = solo runs (A/B switch; reports are byte-identical)")
 		serve      = flag.String("serve", "", "grid coordinator: serve lab jobs to pulling workers on this address (e.g. 127.0.0.1:8700; :0 picks a free port) while generating the report")
 		workerAddr = flag.String("worker", "", "grid worker: pull and execute jobs from the coordinator at this address until it shuts down, then exit")
 		lease      = flag.Duration("lease", 60*time.Second, "grid job lease (with -serve): a worker silent this long forfeits its leased jobs to the queue")
@@ -92,8 +90,6 @@ func main() {
 	}
 	o.Seed = *seed
 	o.Log = os.Stderr
-	o.NoSplice = *noSplice
-	o.LaneWidth = *laneWidth
 	o.Surface = *surface
 
 	l := lab.New()

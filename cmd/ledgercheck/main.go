@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -30,7 +31,7 @@ func main() {
 	}
 	bad := false
 	for _, path := range flag.Args() {
-		if err := check(path, *quiet, *summary); err != nil {
+		if err := check(os.Stdout, path, *quiet, *summary); err != nil {
 			fmt.Fprintf(os.Stderr, "ledgercheck: %s: %v\n", path, err)
 			bad = true
 		}
@@ -40,7 +41,7 @@ func main() {
 	}
 }
 
-func check(path string, quiet, summary bool) error {
+func check(w io.Writer, path string, quiet, summary bool) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -57,7 +58,7 @@ func check(path string, quiet, summary bool) error {
 		return nil
 	}
 	if summary {
-		printSummary(path, recs)
+		printSummary(w, path, recs)
 		return nil
 	}
 
@@ -74,7 +75,7 @@ func check(path string, quiet, summary bool) error {
 	for _, r := range recs {
 		switch r.Type {
 		case obs.RecordMeta:
-			fmt.Printf("%s: %s ledger (schema %d), started %s (%s, GOMAXPROCS=%d)\n",
+			fmt.Fprintf(w, "%s: %s ledger (schema %d), started %s (%s, GOMAXPROCS=%d)\n",
 				path, r.Meta.Tool, r.Meta.Schema, r.Meta.Start, r.Meta.GoVersion, r.Meta.GOMAXPROCS)
 		case obs.RecordSpan:
 			spans++
@@ -103,60 +104,60 @@ func check(path string, quiet, summary bool) error {
 			metrics = r.Metrics
 		}
 	}
-	fmt.Printf("  %d spans", spans)
+	fmt.Fprintf(w, "  %d spans", spans)
 	for _, k := range sortedCounts(phases) {
-		fmt.Printf(", %d %s", phases[k], k)
+		fmt.Fprintf(w, ", %d %s", phases[k], k)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	if spans > 0 {
-		fmt.Printf("  cache:")
+		fmt.Fprintf(w, "  cache:")
 		for _, k := range sortedCounts(caches) {
-			fmt.Printf(" %d %s", caches[k], k)
+			fmt.Fprintf(w, " %d %s", caches[k], k)
 		}
-		fmt.Printf("; queue %s, exec %s\n",
+		fmt.Fprintf(w, "; queue %s, exec %s\n",
 			time.Duration(queueNs).Round(time.Millisecond),
 			time.Duration(execNs).Round(time.Millisecond))
 	}
 	if len(nodes) > 0 {
-		fmt.Printf("  nodes:")
+		fmt.Fprintf(w, "  nodes:")
 		for _, k := range sortedCounts(nodes) {
-			fmt.Printf(" %d %s", nodes[k], k)
+			fmt.Fprintf(w, " %d %s", nodes[k], k)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if runs := phases["run"]; runs > 0 {
-		fmt.Printf("  divergence: %d run spans, %d simulated steps", runs, simSteps)
+		fmt.Fprintf(w, "  divergence: %d run spans, %d simulated steps", runs, simSteps)
 		for _, k := range sortedCounts(exits) {
-			fmt.Printf(", %d %s", exits[k], k)
+			fmt.Fprintf(w, ", %d %s", exits[k], k)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if len(surfaces) > 0 {
-		fmt.Printf("  surfaces:")
+		fmt.Fprintf(w, "  surfaces:")
 		for _, k := range sortedCounts(surfaces) {
-			fmt.Printf(" %d %s", surfaces[k], k)
+			fmt.Fprintf(w, " %d %s", surfaces[k], k)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if props > 0 {
-		fmt.Printf("  propagation: %d records", props)
+		fmt.Fprintf(w, "  propagation: %d records", props)
 		for _, k := range sortedCounts(verdicts) {
-			fmt.Printf(", %d %s", verdicts[k], k)
+			fmt.Fprintf(w, ", %d %s", verdicts[k], k)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if metrics != nil {
-		fmt.Printf("  %d metrics (sim.runs=%d, sim.steps=%d)\n",
+		fmt.Fprintf(w, "  %d metrics (sim.runs=%d, sim.steps=%d)\n",
 			len(metrics), metrics["sim.runs"], metrics["sim.steps"])
 	}
-	fmt.Printf("  OK: %d records\n", len(recs))
+	fmt.Fprintf(w, "  OK: %d records\n", len(recs))
 	return nil
 }
 
 // printSummary renders the -summary table: record counts per type, span
 // counts per phase, per-surface span and propagation counts, and
 // per-node record counts of a merged grid ledger.
-func printSummary(path string, recs []obs.Record) {
+func printSummary(w io.Writer, path string, recs []obs.Record) {
 	types := map[string]int{}
 	phases := map[string]int{}
 	surfSpans := map[string]int{}
@@ -190,19 +191,19 @@ func printSummary(path string, recs []obs.Record) {
 			}
 		}
 	}
-	fmt.Printf("%s — schema %d, %d records\n", path, schema, len(recs))
-	fmt.Printf("  %-14s %7s\n", "type", "records")
+	fmt.Fprintf(w, "%s — schema %d, %d records\n", path, schema, len(recs))
+	fmt.Fprintf(w, "  %-14s %7s\n", "type", "records")
 	for _, k := range sortedCounts(types) {
-		fmt.Printf("  %-14s %7d\n", k, types[k])
+		fmt.Fprintf(w, "  %-14s %7d\n", k, types[k])
 	}
 	if len(phases) > 0 {
-		fmt.Printf("  %-14s %7s\n", "phase", "spans")
+		fmt.Fprintf(w, "  %-14s %7s\n", "phase", "spans")
 		for _, k := range sortedCounts(phases) {
-			fmt.Printf("  %-14s %7d\n", k, phases[k])
+			fmt.Fprintf(w, "  %-14s %7d\n", k, phases[k])
 		}
 	}
 	if len(surfSpans) > 0 || len(surfProps) > 0 {
-		fmt.Printf("  %-14s %7s %12s\n", "surface", "spans", "propagation")
+		fmt.Fprintf(w, "  %-14s %7s %12s\n", "surface", "spans", "propagation")
 		union := map[string]int{}
 		for k := range surfSpans {
 			union[k]++
@@ -211,13 +212,13 @@ func printSummary(path string, recs []obs.Record) {
 			union[k]++
 		}
 		for _, k := range sortedCounts(union) {
-			fmt.Printf("  %-14s %7d %12d\n", k, surfSpans[k], surfProps[k])
+			fmt.Fprintf(w, "  %-14s %7d %12d\n", k, surfSpans[k], surfProps[k])
 		}
 	}
 	if len(nodes) > 0 {
-		fmt.Printf("  %-14s %7s\n", "node", "records")
+		fmt.Fprintf(w, "  %-14s %7s\n", "node", "records")
 		for _, k := range sortedCounts(nodes) {
-			fmt.Printf("  %-14s %7d\n", k, nodes[k])
+			fmt.Fprintf(w, "  %-14s %7d\n", k, nodes[k])
 		}
 	}
 }

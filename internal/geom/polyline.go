@@ -105,7 +105,7 @@ func (p *Polyline) projectRange(q Vec2, lo, hi int) (station, lateral float64) {
 		d := q.DistSq(pt)
 		if d < best {
 			best = d
-			station = p.cum[i] + t*ab.Len()
+			station = p.cum[i] + float64(t*ab.Len())
 			side := ab.Cross(q.Sub(a))
 			lateral = math.Sqrt(d)
 			if side < 0 {
@@ -229,15 +229,15 @@ func Arc(pts []Vec2, start Vec2, yaw, r, sweep, step float64) ([]Vec2, Vec2, flo
 	if sweep < 0 {
 		side = -1.0
 	}
-	center := start.Add(Vec2{math.Cos(yaw + side*math.Pi/2), math.Sin(yaw + side*math.Pi/2)}.Scale(r))
+	center := start.Add(Vec2{math.Cos(yaw + float64(side*math.Pi/2)), math.Sin(yaw + float64(side*math.Pi/2))}.Scale(r))
 	start0 := start.Sub(center).Angle()
 	end := start
 	endYaw := yaw
 	for i := 1; i <= n; i++ {
 		t := float64(i) / float64(n)
-		a := start0 + sweep*t
+		a := start0 + float64(sweep*t)
 		end = center.Add(Vec2{math.Cos(a), math.Sin(a)}.Scale(r))
-		endYaw = NormalizeAngle(yaw + sweep*t)
+		endYaw = NormalizeAngle(yaw + float64(sweep*t))
 		pts = append(pts, end)
 	}
 	return pts, end, endYaw

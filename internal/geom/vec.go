@@ -23,23 +23,23 @@ func V2(x, y float64) Vec2 { return Vec2{X: x, Y: y} }
 func (v Vec2) Add(o Vec2) Vec2 { return Vec2{float64(v.X) + float64(o.X), float64(v.Y) + float64(o.Y)} }
 
 // Sub returns v - o.
-func (v Vec2) Sub(o Vec2) Vec2 { return Vec2{v.X - o.X, v.Y - o.Y} }
+func (v Vec2) Sub(o Vec2) Vec2 { return Vec2{float64(v.X) - float64(o.X), float64(v.Y) - float64(o.Y)} }
 
 // Scale returns v scaled by s.
 func (v Vec2) Scale(s float64) Vec2 { return Vec2{v.X * s, v.Y * s} }
 
 // Dot returns the dot product v·o.
-func (v Vec2) Dot(o Vec2) float64 { return v.X*o.X + v.Y*o.Y }
+func (v Vec2) Dot(o Vec2) float64 { return float64(v.X*o.X) + float64(v.Y*o.Y) }
 
 // Cross returns the z component of the 3-D cross product v×o. Its sign
 // tells which side of v the vector o lies on (positive = left).
-func (v Vec2) Cross(o Vec2) float64 { return v.X*o.Y - v.Y*o.X }
+func (v Vec2) Cross(o Vec2) float64 { return float64(v.X*o.Y) - float64(v.Y*o.X) }
 
 // Len returns the Euclidean norm of v.
 func (v Vec2) Len() float64 { return math.Hypot(v.X, v.Y) }
 
 // LenSq returns the squared norm of v, avoiding the square root.
-func (v Vec2) LenSq() float64 { return v.X*v.X + v.Y*v.Y }
+func (v Vec2) LenSq() float64 { return float64(v.X*v.X) + float64(v.Y*v.Y) }
 
 // Dist returns the Euclidean distance between v and o.
 func (v Vec2) Dist(o Vec2) float64 { return v.Sub(o).Len() }
@@ -64,7 +64,7 @@ func (v Vec2) Angle() float64 { return math.Atan2(v.Y, v.X) }
 // Rot returns v rotated counterclockwise by theta radians.
 func (v Vec2) Rot(theta float64) Vec2 {
 	s, c := math.Sincos(theta)
-	return Vec2{v.X*c - v.Y*s, v.X*s + v.Y*c}
+	return Vec2{float64(v.X*c) - float64(v.Y*s), float64(v.X*s) + float64(v.Y*c)}
 }
 
 // Perp returns v rotated 90° counterclockwise.
@@ -72,7 +72,7 @@ func (v Vec2) Perp() Vec2 { return Vec2{-v.Y, v.X} }
 
 // Lerp linearly interpolates between v (t=0) and o (t=1).
 func (v Vec2) Lerp(o Vec2, t float64) Vec2 {
-	return Vec2{v.X + (o.X-v.X)*t, v.Y + (o.Y-v.Y)*t}
+	return Vec2{v.X + float64((o.X-v.X)*t), v.Y + float64((o.Y-v.Y)*t)}
 }
 
 // Vec3 is a point in 3-D space, used for LiDAR returns and trajectory
@@ -94,7 +94,7 @@ func (v Vec3) Sub(o Vec3) Vec3 { return Vec3{v.X - o.X, v.Y - o.Y, v.Z - o.Z} }
 func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
 
 // Len returns the Euclidean norm of v.
-func (v Vec3) Len() float64 { return math.Sqrt(v.X*v.X + v.Y*v.Y + v.Z*v.Z) }
+func (v Vec3) Len() float64 { return math.Sqrt(float64(v.X*v.X) + float64(v.Y*v.Y) + float64(v.Z*v.Z)) }
 
 // Dist returns the Euclidean distance between v and o.
 func (v Vec3) Dist(o Vec3) float64 { return v.Sub(o).Len() }

@@ -105,17 +105,17 @@ func Generate(cfg Config) []FrameData {
 	out := make([]FrameData, 0, cfg.Frames)
 	for f := 0; f < cfg.Frames; f++ {
 		t := float64(f) * dt
-		egoX := egoSpeed * t
+		egoX := float64(egoSpeed * t)
 		// Small heading/mount vibration, as a moving vehicle has.
 		egoPose := geom.Pose{
-			Pos: geom.V2(egoX, 0.05*math.Sin(0.9*t)),
-			Yaw: 0.010*math.Sin(1.3*t) + 0.006*math.Sin(6.7*t),
+			Pos: geom.V2(egoX, float64(0.05*math.Sin(0.9*t))),
+			Yaw: float64(0.010*math.Sin(1.3*t)) + float64(0.006*math.Sin(6.7*t)),
 		}
 
 		obstacles := make([]sensor.RenderObstacle, 0, len(objs))
 		boxes := make([]geom.OBB, 0, len(objs))
 		for _, o := range objs {
-			pos := geom.V2(o.x0+o.speed*t, o.lane+o.weave*math.Sin(2*math.Pi*o.wfreq*t))
+			pos := geom.V2(o.x0+float64(o.speed*t), o.lane+float64(o.weave*math.Sin(2*math.Pi*o.wfreq*t)))
 			obstacles = append(obstacles, sensor.RenderObstacle{
 				Pose:  geom.Pose{Pos: pos},
 				HalfL: o.halfL,
@@ -147,7 +147,7 @@ func Generate(cfg Config) []FrameData {
 				Y:        float32(egoPose.Pos.Y + imuRand.NormScaled(0, 0.08)),
 				Speed:    float32(egoSpeed + imuRand.NormScaled(0, 0.05)),
 				Accel:    float32(imuRand.NormScaled(0, 0.12)),
-				YawRate:  float32(0.013*math.Cos(1.3*t) + 0.04*math.Cos(6.7*t) + imuRand.NormScaled(0, 0.004)),
+				YawRate:  float32(float64(0.013*math.Cos(1.3*t)) + float64(0.04*math.Cos(6.7*t)) + imuRand.NormScaled(0, 0.004)),
 				YawAccel: float32(imuRand.NormScaled(0, 0.02)),
 				Heading:  float32(egoPose.Yaw + imuRand.NormScaled(0, 0.003)),
 			},

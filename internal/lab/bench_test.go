@@ -10,7 +10,8 @@ import (
 
 // BenchmarkCampaign measures one GPU campaign of the full LeadSlowdown in
 // DiverseAV mode at seed 33 and DefaultSizes; the transient subs are the
-// byte-identical execution ladder cold → fork → splice → batch (default).
+// byte-identical pair cold (every run from step 0) and batch (the
+// default lane groups), plus the traced default.
 // The golden set is seeded into a fresh lab every iteration, so
 // memoization never short-circuits the campaign (a transient campaign's
 // profile is included). steps/s counts restored and spliced steps too.
@@ -24,8 +25,6 @@ func BenchmarkCampaign(b *testing.B) {
 		spec CampaignSpec
 	}{
 		{"transient-cold", CampaignSpec{CheckpointEvery: -1}},
-		{"transient-fork", CampaignSpec{DisableSplice: true, LaneWidth: -1}},
-		{"transient-splice", CampaignSpec{LaneWidth: -1}},
 		{"transient-batch", CampaignSpec{}},
 		{"transient-traced", CampaignSpec{Propagation: true}},
 		{"permanent", CampaignSpec{Model: fi.Permanent, Sizes: perm}},

@@ -95,6 +95,11 @@ type Campaign struct {
 // next to a single re-simulated prefix.
 const DefaultCheckpointEvery = 50
 
+// laneWidth is the lane-group size of transient campaign execution: up
+// to this many injection runs share one fault-free prefix replay, then
+// run their suffixes one after another from the pack's snapshots.
+const laneWidth = 16
+
 // runCampaign executes a campaign spec (the job body behind
 // Lab.Campaign). Every surface runs through the same pipeline: its
 // registered fi.SurfacePlanner draws the plans, each plan runs as one
@@ -103,31 +108,29 @@ const DefaultCheckpointEvery = 50
 // Transient campaigns follow NVBitFI's replay semantics: every injection
 // run replays the campaign seed, differing only in the injected fault.
 // All transient runs of a campaign therefore share one fault-free prefix
-// up to each plan's detach step, and (unless the spec disables it)
-// execute by forking from the latest checkpoint of one checkpointed
-// golden pass at or before that step instead of re-simulating the
-// prefix, batched into lane groups. Symmetrically, every fork
-// tracks the golden pass's stream: once its fault has washed out
-// bit-exactly, it splices the golden suffix instead of simulating it.
-// The fork-, splice- and lane-equivalence invariants (see internal/sim)
-// guarantee bit-identical traces, so CheckpointEvery, DisableSplice and
-// LaneWidth only change wall-clock, never results — which is why they
-// are excluded from the spec key.
+// up to each plan's detach step. A checkpointed campaign records one
+// golden pass and runs its plans in lane groups (runLaneGroups): each
+// group replays the shared prefix once, jumping through the pass's
+// checkpoints, and every run tracks the pass's stream, splicing the
+// golden suffix once its fault has washed out bit-exactly. The fork-,
+// splice- and lane-equivalence invariants (see internal/sim) guarantee
+// bit-identical traces, so the cold oracle (CheckpointEvery < 0: every
+// run from step 0) computes the same artifact.
 //
-// Permanent campaigns keep the cold path with per-run seeds: a permanent
-// fault corrupts from the first step, so no prefix is fault-free,
-// nothing is shareable, and the fault is never quiescent.
+// Permanent campaigns run cold with per-run seeds: a permanent fault
+// corrupts from the first step, so no prefix is fault-free, nothing is
+// shareable, and the fault is never quiescent.
 func runCampaign(l *Lab, s CampaignSpec) *Campaign {
 	surface := s.surfaceName()
 	sp, ok := fi.SurfaceByName(surface)
 	if !ok {
 		panic(fmt.Sprintf("lab: campaign surface %q is not registered", surface))
 	}
-	sc := l.scenarioByName(s.Scenario)
-	every := s.CheckpointEvery
-	if every == 0 {
-		every = DefaultCheckpointEvery
+	if s.Propagation && s.CheckpointEvery < 0 {
+		panic("lab: a traced campaign needs checkpoints: its probe fires at golden checkpoint steps")
 	}
+	sc := l.scenarioByName(s.Scenario)
+	every := s.checkpointEvery()
 	fork := s.Model == fi.Transient && every > 0
 
 	// Only instruction-surface transient plans read a profile: they draw
@@ -140,7 +143,6 @@ func runCampaign(l *Lab, s CampaignSpec) *Campaign {
 	// the artifact store.
 	var prof *fi.Profile
 	var stream *sim.GoldenStream
-	var cps []*sim.Checkpoint
 	switch {
 	case fork:
 		cfg := sim.Config{Scenario: sc, Mode: s.Mode, Seed: s.Seed, CheckpointEvery: every}
@@ -150,7 +152,6 @@ func runCampaign(l *Lab, s CampaignSpec) *Campaign {
 		}
 		res := sim.Run(cfg)
 		stream = &sim.GoldenStream{Checkpoints: res.Checkpoints, Trace: res.Trace}
-		cps = res.Checkpoints
 	case s.profiled():
 		prof = l.Profile(ProfileSpec{Scenario: s.Scenario, Mode: s.Mode, Seed: s.Seed})
 	}
@@ -171,14 +172,6 @@ func runCampaign(l *Lab, s CampaignSpec) *Campaign {
 		Golden:       golden,
 		Runs:         make([]RunRecord, len(plans)),
 	}
-	// detach[i] is the step at or before which plan i's fault can first
-	// act: the fork point and the lane-grouping key.
-	detach := make([]int, len(plans))
-	if fork {
-		for i, p := range plans {
-			detach[i] = detachStep(p, prof, nAgents)
-		}
-	}
 	base := sim.Config{Scenario: sc, Mode: s.Mode}
 	if s.Model == fi.Transient {
 		// Replay seed: the injection run IS the golden pass plus one
@@ -186,7 +179,6 @@ func runCampaign(l *Lab, s CampaignSpec) *Campaign {
 		// spliceable.
 		base.Seed = s.Seed
 		base.Golden = stream
-		base.DisableSplice = s.DisableSplice
 		base.Propagation = s.Propagation
 	}
 	ledger := l.Ledger()
@@ -208,45 +200,31 @@ func runCampaign(l *Lab, s CampaignSpec) *Campaign {
 			Surface:        surface,
 		})
 	}
-	runSolo := func(i int) {
-		cfg := base
-		cfg.Surface = plans[i]
-		if s.Model == fi.Permanent {
-			cfg.Seed = s.Seed + 5000 + uint64(i)*104729
+	if fork {
+		detach := make([]int, len(plans))
+		for i, p := range plans {
+			detach[i] = detachStep(p, prof, nAgents)
 		}
-		var began time.Time
-		if ledger != nil {
-			began = time.Now()
-		}
-		var res *sim.Result
-		if cp := forkPoint(cps, detach[i]); cp != nil {
-			if forked, err := sim.RunFrom(cp, cfg); err == nil {
-				obs.C("campaign.runs_forked").Inc()
-				res = forked
-			}
-		}
-		if res == nil {
-			obs.C("campaign.runs_cold").Inc()
-			res = sim.Run(cfg)
-		}
-		c.Runs[i] = record(plans[i], res)
-		if ledger != nil {
-			emitRunSpan(i, res, time.Since(began).Nanoseconds())
-		}
-	}
-	laneW := s.LaneWidth
-	if laneW == 0 {
-		laneW = DefaultLaneWidth
-	}
-	if fork && laneW > 1 {
-		runLaneGroups(c, plans, detach, base, laneW, runSolo, emitRunSpan, ledger != nil)
+		runLaneGroups(c, plans, detach, base, emitRunSpan, ledger != nil)
+		// Every lane has restored from its pack snapshot; recycle the
+		// golden pass's snapshot buffers for the next campaign.
+		sim.ReleaseCheckpoints(stream.Checkpoints)
 	} else {
-		par.ForEach(len(plans), runSolo)
+		par.ForEach(len(plans), func(i int) {
+			cfg := base
+			cfg.Surface = plans[i]
+			if s.Model == fi.Permanent {
+				cfg.Seed = s.Seed + 5000 + uint64(i)*104729
+			}
+			began := time.Now()
+			obs.C("campaign.runs_cold").Inc()
+			res := sim.Run(cfg)
+			c.Runs[i] = record(plans[i], res)
+			if ledger != nil {
+				emitRunSpan(i, res, time.Since(began).Nanoseconds())
+			}
+		})
 	}
-	// Past the fork barrier every injection run has restored from its
-	// checkpoint; recycle the snapshot buffers for the next campaign's
-	// golden pass.
-	sim.ReleaseCheckpoints(cps)
 
 	c.Baseline = baselineOf(golden)
 	if ledger != nil {
@@ -261,12 +239,11 @@ func runCampaign(l *Lab, s CampaignSpec) *Campaign {
 // DynIndex stream from above, so the mapped step is never later than the
 // true activation step (detaching conservatively early is always safe).
 // A dynamic index past the agent's profiled stream never activates:
-// -1. A step-space plan detaches at its Start (step 0 when it has no
-// decidable start, which runs it cold).
+// -1. A step-space plan detaches at its Start.
 func detachStep(p fi.SurfacePlan, prof *fi.Profile, nAgents int) int {
 	ip, ok := p.(instr.Plan)
 	if !ok {
-		return max(p.Start(), 0)
+		return p.Start()
 	}
 	step, ok := prof.ActivationStep(ip.Agent%nAgents, ip.P.Target, ip.P.DynIndex)
 	if !ok {
@@ -340,33 +317,25 @@ func emitPropagation(ledger *obs.Ledger, specKey, surface string, c *Campaign, p
 	}
 }
 
-// DefaultLaneWidth is the lane-group size of batched transient campaign
-// execution: up to this many injection runs share one fault-free prefix
-// replay, then run their suffixes one after another from the pack's
-// snapshots.
-const DefaultLaneWidth = 16
-
 // runLaneGroups is the batched transient scheduler: plans are sorted by
 // detach step (never-activating golden clones first — they cost one
 // trace copy each), so runs detaching together land in the same group
 // and share one pack snapshot, and near ones share most of the pack
-// replay; the order is
-// chunked into lane-width groups, and each group executes through
-// sim.RunLanesFrom on copies of base carrying the lanes' plans. A group
-// that fails validation falls back to the solo fork path run by run —
-// the results are identical either way (the lane-equivalence
-// invariant), so the fallback is pure strategy too.
-func runLaneGroups(c *Campaign, plans []fi.SurfacePlan, detach []int, base sim.Config, laneW int,
-	runSolo func(int), emitRunSpan func(int, *sim.Result, int64), ledger bool) {
+// replay; the order is chunked into groups of laneWidth, and each group
+// executes through sim.RunLanesFrom on copies of base carrying the
+// lanes' plans. Every shipped planner draws plans a group accepts, so a
+// rejected group is a lab bug.
+func runLaneGroups(c *Campaign, plans []fi.SurfacePlan, detach []int, base sim.Config,
+	emitRunSpan func(int, *sim.Result, int64), ledger bool) {
 
 	order := make([]int, len(plans))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return detach[order[a]] < detach[order[b]] })
-	nGroups := (len(order) + laneW - 1) / laneW
+	nGroups := (len(order) + laneWidth - 1) / laneWidth
 	par.ForEach(nGroups, func(g int) {
-		idxs := order[g*laneW : min((g+1)*laneW, len(order))]
+		idxs := order[g*laneWidth : min((g+1)*laneWidth, len(order))]
 		cfgs := make([]sim.Config, len(idxs))
 		det := make([]int, len(idxs))
 		for k, i := range idxs {
@@ -375,12 +344,9 @@ func runLaneGroups(c *Campaign, plans []fi.SurfacePlan, detach []int, base sim.C
 			det[k] = detach[i]
 		}
 		began := time.Now()
-		results, err := sim.RunLanesFrom(nil, cfgs, det)
+		results, err := sim.RunLanesFrom(cfgs, det)
 		if err != nil {
-			for _, i := range idxs {
-				runSolo(i)
-			}
-			return
+			panic(fmt.Sprintf("lab: lane group of %s campaign: %v", c.ScenarioName, err))
 		}
 		obs.C("campaign.runs_batched").Add(uint64(len(idxs)))
 		// Per-run wall clock is not individually observable inside a lane
@@ -404,27 +370,6 @@ func baselineOf(golden []*sim.Result) []geom.Vec2 {
 		goldenTraces = append(goldenTraces, g.Trace)
 	}
 	return sim.MeanTrajectory(goldenTraces)
-}
-
-// forkPoint picks the latest checkpoint whose step is at or before the
-// plan's detach step — the longest shareable fault-free prefix. A plan
-// that never activates (detach < 0) is golden-equivalent, so any
-// checkpoint works: use the latest.
-func forkPoint(cps []*sim.Checkpoint, detach int) *sim.Checkpoint {
-	if len(cps) == 0 {
-		return nil
-	}
-	if detach < 0 {
-		return cps[len(cps)-1]
-	}
-	var best *sim.Checkpoint
-	for _, cp := range cps {
-		if cp.Step > detach {
-			break
-		}
-		best = cp
-	}
-	return best
 }
 
 // Hazard labels one run against the baseline: an accident, or a

@@ -10,56 +10,44 @@ import (
 	"diverseav/internal/vm"
 )
 
-// TestForkPointSelection pins the bucketing rule: latest checkpoint at
-// or before the detach step (an instruction plan's profiled activation
-// step, a step-space plan's start); latest checkpoint overall for plans
-// that never activate.
-func TestForkPointSelection(t *testing.T) {
+// TestDetachStep pins the lane-grouping key: an instruction plan
+// detaches at its profiled activation step, a step-space plan at its
+// start, and a plan past the profiled stream never activates (-1).
+func TestDetachStep(t *testing.T) {
 	var prof fi.Profile
 	// Agent 0 CPU cumulative counts: step 0 → 100, 1 → 200, ... 9 → 1000.
 	for s := 1; s <= 10; s++ {
 		prof.RecordStep(0, uint64(s*100), 0)
 	}
-	cps := []*sim.Checkpoint{{Step: 3}, {Step: 6}, {Step: 9}}
-
 	cases := []struct {
 		dyn  uint64
-		want int // expected checkpoint step; -1 = no checkpoint usable
+		want int
 	}{
-		{50, -1},  // activates in step 0, before the first checkpoint
-		{350, 3},  // activates in step 3
-		{650, 6},  // activates in step 6
-		{1000, 9}, // activates in the last step
-		{5000, 9}, // beyond the stream: never activates, use the latest
+		{50, 0},    // activates in step 0
+		{350, 3},   // activates in step 3
+		{650, 6},   // activates in step 6
+		{1000, 9},  // activates in the last step
+		{5000, -1}, // beyond the stream: never activates
 	}
 	for _, tc := range cases {
 		plan := instr.Plan{P: fi.Plan{Target: vm.CPU, Model: fi.Transient, DynIndex: tc.dyn}}
-		cp := forkPoint(cps, detachStep(plan, &prof, 1))
-		got := -1
-		if cp != nil {
-			got = cp.Step
+		if got := detachStep(plan, &prof, 1); got != tc.want {
+			t.Errorf("detachStep(dyn=%d) = %d, want %d", tc.dyn, got, tc.want)
 		}
-		if got != tc.want {
-			t.Errorf("forkPoint(dyn=%d) = step %d, want %d", tc.dyn, got, tc.want)
-		}
-	}
-	if cp := forkPoint(nil, 3); cp != nil {
-		t.Error("forkPoint with no checkpoints returned one")
 	}
 	window := sensorfault.Plan{Step: 7, Duration: 5}
-	if cp := forkPoint(cps, detachStep(window, nil, 1)); cp == nil || cp.Step != 6 {
-		t.Errorf("forkPoint(step-space start 7) = %v, want the step-6 checkpoint", cp)
+	if got := detachStep(window, nil, 1); got != 7 {
+		t.Errorf("detachStep(step-space start 7) = %d, want 7", got)
 	}
 }
 
 // TestForkedCampaignMatchesCold is the campaign-level hard invariant:
-// fork execution, lane batching and reconvergence splicing are pure
-// wall-clock optimizations. A transient campaign under the default
-// strategy (lane groups) must produce, run for run, byte-identical
-// traces and activation counts to the same spec run solo with splicing,
-// with splicing disabled (forked full-length runs), and with forking
-// disabled entirely (every run cold from step 0). The strategy fields
-// are not part of the key, so each variant runs in a fresh lab.
+// the shared-prefix lane groups, checkpoint jumps and reconvergence
+// splicing are pure wall-clock optimizations. A transient campaign on
+// the default path must produce, run for run, byte-identical traces and
+// activation counts to the same spec with forking disabled entirely
+// (every run cold from step 0). CheckpointEvery is not part of an
+// untraced key, so each variant runs in a fresh lab.
 func TestForkedCampaignMatchesCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -77,30 +65,20 @@ func TestForkedCampaignMatchesCold(t *testing.T) {
 				base := CampaignSpec{Scenario: sc.Name, Mode: mode, Target: target, Model: fi.Transient, Sizes: sizes, Seed: 33}
 				cold := base
 				cold.CheckpointEvery = -1
-				soloSplice := base
-				soloSplice.LaneWidth = -1
-				noSplice := base
-				noSplice.DisableSplice = true
-				ref := run(cold)
-				for _, v := range []struct {
-					name string
-					spec CampaignSpec
-				}{{"batch", base}, {"solo-splice", soloSplice}, {"no-splice", noSplice}} {
-					c := run(v.spec)
-					if len(c.Runs) != len(ref.Runs) {
-						t.Fatalf("%s: run counts differ: %d vs %d", v.name, len(c.Runs), len(ref.Runs))
+				ref, c := run(cold), run(base)
+				if len(c.Runs) != len(ref.Runs) {
+					t.Fatalf("run counts differ: %d vs %d", len(c.Runs), len(ref.Runs))
+				}
+				for i, r := range c.Runs {
+					want := ref.Runs[i]
+					if r.Plan != want.Plan {
+						t.Fatalf("run %d: plans differ", i)
 					}
-					for i, r := range c.Runs {
-						want := ref.Runs[i]
-						if r.Plan != want.Plan {
-							t.Fatalf("%s: run %d: plans differ", v.name, i)
-						}
-						if got, exp := traceHash(t, r.Result.Trace), traceHash(t, want.Result.Trace); got != exp {
-							t.Errorf("%s: run %d (%s): trace %s != cold trace %s", v.name, i, r.Plan, got, exp)
-						}
-						if r.Result.Activations != want.Result.Activations {
-							t.Errorf("%s: run %d: activations %d != cold %d", v.name, i, r.Result.Activations, want.Result.Activations)
-						}
+					if got, exp := traceHash(t, r.Result.Trace), traceHash(t, want.Result.Trace); got != exp {
+						t.Errorf("run %d (%s): trace %s != cold trace %s", i, r.Plan, got, exp)
+					}
+					if r.Result.Activations != want.Result.Activations {
+						t.Errorf("run %d: activations %d != cold %d", i, r.Result.Activations, want.Result.Activations)
 					}
 				}
 			})

@@ -97,9 +97,9 @@ func TestRequireEmitsSpans(t *testing.T) {
 	if snap["lab.computed"] < 2 {
 		t.Errorf("lab.computed = %d, want >= 2", snap["lab.computed"])
 	}
-	batched, forked, cold := snap["campaign.runs_batched"], snap["campaign.runs_forked"], snap["campaign.runs_cold"]
-	if batched+forked+cold < int64(shortSizes().Transient) {
-		t.Errorf("batch/fork/cold counters %d+%d+%d cover fewer than %d campaign runs", batched, forked, cold, shortSizes().Transient)
+	batched, cold := snap["campaign.runs_batched"], snap["campaign.runs_cold"]
+	if batched+cold < int64(shortSizes().Transient) {
+		t.Errorf("batch/cold counters %d+%d cover fewer than %d campaign runs", batched, cold, shortSizes().Transient)
 	}
 	if batched == 0 {
 		t.Error("campaign.runs_batched = 0: the default transient path did not execute in lane groups")

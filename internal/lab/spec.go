@@ -23,8 +23,8 @@ type Spec interface {
 	// Key returns the artifact's stable identity: a filename-safe string
 	// of the form "<kind>-<context>-<fnv64 of the canonical fields>".
 	// Fields that change execution strategy but provably not results
-	// (CampaignSpec.CheckpointEvery, by the fork-equivalence invariant)
-	// are excluded.
+	// (an untraced CampaignSpec's CheckpointEvery, by the
+	// fork-equivalence invariant) are excluded.
 	Key() string
 
 	// normalize fills derived defaults (zero seeds become key-derived
@@ -170,28 +170,14 @@ type CampaignSpec struct {
 	// the campaign's conventional private set: Sizes.Golden runs of the
 	// same scenario and mode at Seed+1000.
 	Golden GoldenSpec
-	// CheckpointEvery tunes fork execution of transient campaigns: 0
-	// selects the default interval, a negative value runs every injection
-	// cold from step 0. It is NOT part of Key(): by the fork-equivalence
-	// invariant (see internal/sim) it changes wall-clock only, never the
-	// artifact, so both strategies memoize to the same entry.
+	// CheckpointEvery is the golden-pass checkpoint interval of transient
+	// campaigns: 0 selects DefaultCheckpointEvery, a negative value runs
+	// every injection cold from step 0 (the test oracle). By the
+	// fork-equivalence invariant (see internal/sim) it changes wall-clock
+	// only, so it is NOT part of an untraced Key(). A traced campaign's
+	// probe fires at golden checkpoint steps, so there it is keyed, and
+	// a cold traced campaign is rejected.
 	CheckpointEvery int
-	// DisableSplice turns off reconvergence splicing for transient fork
-	// execution: every injection run simulates to its natural end even
-	// after returning bit-exactly to the golden state. Like
-	// CheckpointEvery it is NOT part of Key(): by the splice-equivalence
-	// invariant (see internal/sim) splicing changes wall-clock only, never
-	// the artifact.
-	DisableSplice bool
-	// LaneWidth tunes batched execution of transient fork campaigns:
-	// injection runs are scheduled in groups of up to LaneWidth lanes
-	// that share one fault-free prefix replay and then run their
-	// suffixes from its snapshots (sim.RunLanesFrom). 0 selects
-	// DefaultLaneWidth, a negative value runs every injection solo (the
-	// legacy fork path). Like CheckpointEvery it is NOT part of Key(): by
-	// the lane-equivalence invariant (see internal/sim) lane width changes
-	// wall-clock only, never the artifact.
-	LaneWidth int
 	// Surface selects the fault surface the campaign injects through:
 	// "" or "instr" is the instruction-level XOR injector (the legacy
 	// default — both normalize to the same spec, and the zero value
@@ -237,6 +223,10 @@ func (s CampaignSpec) canon() string {
 	}
 	if s.Propagation {
 		c += "|prop=1"
+		// Only off the default, so every existing traced key survives.
+		if every := s.checkpointEvery(); every != DefaultCheckpointEvery {
+			c += fmt.Sprintf("|every=%d", every)
+		}
 	}
 	return c
 }
@@ -262,6 +252,15 @@ func (s CampaignSpec) surfaceName() string {
 		return fi.SurfaceInstr
 	}
 	return s.Surface
+}
+
+// checkpointEvery is the golden-pass checkpoint interval with the zero
+// value resolved; negative runs cold.
+func (s CampaignSpec) checkpointEvery() int {
+	if s.CheckpointEvery == 0 {
+		return DefaultCheckpointEvery
+	}
+	return s.CheckpointEvery
 }
 
 // profiled reports whether the campaign plans against an instruction

@@ -69,6 +69,30 @@ func TestCampaignKeyPropagation(t *testing.T) {
 	}
 }
 
+// TestCampaignKeyTracedCadence: the propagation probe fires only at
+// golden checkpoint steps, so a traced campaign keys its checkpoint
+// interval (the default, 0 or spelled out, keeps the pinned key); an
+// untraced campaign's interval stays pure strategy.
+func TestCampaignKeyTracedCadence(t *testing.T) {
+	base := CampaignSpec{Scenario: "LeadSlowdown", Mode: sim.RoundRobin, Target: vm.GPU, Model: fi.Transient,
+		Sizes: DefaultSizes(), Seed: 91, Surface: fi.SurfaceSensor}
+	every := func(s CampaignSpec, n int) CampaignSpec { s.CheckpointEvery = n; return s }
+	if a, b := every(base, 10).Key(), base.Key(); a != b {
+		t.Errorf("untraced cadence changed the key: %s vs %s", a, b)
+	}
+	traced := base
+	traced.Propagation = true
+	if a, b := every(traced, DefaultCheckpointEvery).Key(), traced.Key(); a != b {
+		t.Errorf("explicit default cadence keyed %s, want %s", a, b)
+	}
+	if a, b := every(traced, 10).Key(), traced.Key(); a == b {
+		t.Errorf("traced cadences 10 and %d share key %s: their records differ", DefaultCheckpointEvery, a)
+	}
+	if a, b := every(traced, 10).Key(), every(traced, 25).Key(); a == b {
+		t.Errorf("traced cadences 10 and 25 share key %s", a)
+	}
+}
+
 // TestCampaignKeySurface pins the surface half of the key contract:
 // "instr" normalizes to the legacy empty surface (same artifact), any
 // registered surface gets its own keyspace with a readable prefix, and

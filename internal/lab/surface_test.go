@@ -81,10 +81,10 @@ func TestSurfaceCampaignDiskRoundTrip(t *testing.T) {
 }
 
 // TestSurfaceCampaignLaneEquivalence extends the campaign-level lane
-// invariant to surfaces: the batched (default lane width) and solo
-// (LaneWidth -1) executions of the same transient surface campaign must
-// produce identical run records — lane batching is pure strategy on
-// the new surfaces too.
+// invariant to surfaces: the default (lane groups) and cold
+// (CheckpointEvery -1, every run from step 0) executions of the same
+// transient surface campaign must produce identical run records — lane
+// groups and splicing are pure strategy on the step-space surfaces too.
 func TestSurfaceCampaignLaneEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -93,28 +93,28 @@ func TestSurfaceCampaignLaneEquivalence(t *testing.T) {
 	for _, surf := range []string{fi.SurfaceSensor, fi.SurfaceHallucinate} {
 		t.Run(surf, func(t *testing.T) {
 			spec := CampaignSpec{Scenario: sc.Name, Mode: sim.RoundRobin, Target: vm.GPU, Model: fi.Transient, Sizes: shortSizes(), Seed: 77, Surface: surf}
-			solo := spec
-			solo.LaneWidth = -1
+			cold := spec
+			cold.CheckpointEvery = -1
 
 			lb := New()
 			lb.RegisterScenario(sc)
 			batched := lb.Campaign(spec)
 			ls := New()
 			ls.RegisterScenario(sc)
-			soloC := ls.Campaign(solo)
+			coldC := ls.Campaign(cold)
 
-			if len(batched.Runs) != len(soloC.Runs) {
-				t.Fatalf("run counts differ: %d batched vs %d solo", len(batched.Runs), len(soloC.Runs))
+			if len(batched.Runs) != len(coldC.Runs) {
+				t.Fatalf("run counts differ: %d batched vs %d cold", len(batched.Runs), len(coldC.Runs))
 			}
 			for i := range batched.Runs {
-				if batched.Runs[i].Desc != soloC.Runs[i].Desc {
-					t.Errorf("run %d: descs differ (%q vs %q)", i, batched.Runs[i].Desc, soloC.Runs[i].Desc)
+				if batched.Runs[i].Desc != coldC.Runs[i].Desc {
+					t.Errorf("run %d: descs differ (%q vs %q)", i, batched.Runs[i].Desc, coldC.Runs[i].Desc)
 				}
-				if a, b := traceHash(t, batched.Runs[i].Result.Trace), traceHash(t, soloC.Runs[i].Result.Trace); a != b {
-					t.Errorf("run %d (%s): batched trace diverged from solo", i, batched.Runs[i].Desc)
+				if a, b := traceHash(t, batched.Runs[i].Result.Trace), traceHash(t, coldC.Runs[i].Result.Trace); a != b {
+					t.Errorf("run %d (%s): batched trace diverged from cold", i, batched.Runs[i].Desc)
 				}
-				if batched.Runs[i].Result.Activations != soloC.Runs[i].Result.Activations {
-					t.Errorf("run %d: activations %d batched, %d solo", i, batched.Runs[i].Result.Activations, soloC.Runs[i].Result.Activations)
+				if batched.Runs[i].Result.Activations != coldC.Runs[i].Result.Activations {
+					t.Errorf("run %d: activations %d batched, %d cold", i, batched.Runs[i].Result.Activations, coldC.Runs[i].Result.Activations)
 				}
 			}
 		})

@@ -19,9 +19,11 @@ import (
 // wire, and every spec field is a plain value (strings, numbers, nested
 // GoldenSpec).
 //
-// Strategy fields excluded from Key() (CheckpointEvery, DisableSplice,
-// LaneWidth) DO travel in the envelope: they change wall-clock, not
-// bytes, and the dispatching side's choice should apply on the worker.
+// CheckpointEvery, which an untraced campaign excludes from Key(), DOES
+// travel in the envelope: it changes wall-clock, not bytes, and the
+// dispatching side's choice should apply on the worker. Envelopes from
+// older coordinators may still carry the deleted DisableSplice and
+// LaneWidth strategy fields; decoding ignores them.
 
 // specEnvelope is the JSON wire form of a Spec: a kind tag plus exactly
 // one populated payload pointer.
@@ -58,8 +60,9 @@ func EncodeSpec(s Spec) ([]byte, error) {
 // rather than when a worker runs them: a campaign naming no registered
 // fault surface, an enum value outside its range (every unknown value
 // prints like a known one, so its key would collide with that spec's),
-// and a negative count or empty rolling window (they panic in make and
-// stats.NewRolling).
+// a negative count or empty rolling window (they panic in make and
+// stats.NewRolling), and a traced campaign without checkpoints (its
+// probe fires only at golden checkpoint steps).
 func DecodeSpec(data []byte) (Spec, error) {
 	var env specEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
@@ -118,6 +121,7 @@ func checkSpec(s Spec) error {
 		check(ok, "surface %q is not registered", s.Surface)
 		z := s.Sizes
 		check(min(z.Transient, z.PermReps, z.PermStride, z.Golden, z.Training) >= 0, "negative size in %+v", z)
+		check(!s.Propagation || s.CheckpointEvery >= 0, "traced campaign with CheckpointEvery %d: the probe needs checkpoints", s.CheckpointEvery)
 		errs = append(errs, checkSpec(s.Golden))
 	case DetectorSpec:
 		mode(s.Mode)

@@ -18,7 +18,7 @@ func TestSpecWireRoundTrip(t *testing.T) {
 		ProfileSpec{Scenario: "GhostCutIn", Mode: sim.Duplicate, Seed: 7},
 		CampaignSpec{
 			Scenario: "LeadSlowdown", Mode: sim.RoundRobin, Target: vm.GPU, Model: fi.Transient,
-			Sizes: shortSizes(), Seed: 33, LaneWidth: 4, DisableSplice: true,
+			Sizes: shortSizes(), Seed: 33, CheckpointEvery: 10,
 		},
 		DetectorSpec{Cfg: core.DefaultConfig(), Mode: sim.RoundRobin, Compare: core.CompareAlternating, PerRoute: 1, Seed: 42},
 	}
@@ -65,6 +65,9 @@ func TestDecodeSpecRejects(t *testing.T) {
 		`{"kind":"campaign","campaign":{"Scenario":"suburban-35","Golden":{"Scenario":"suburban-35","N":-2}}}`,
 		`{"kind":"detector","detector":{"Cfg":{"rw":3},"PerRoute":-1}}`,
 		`{"kind":"detector","detector":{"Cfg":{"rw":0},"PerRoute":1}}`,
+		// The propagation probe fires at golden checkpoint steps: a cold
+		// traced campaign would carry no records under a traced key.
+		`{"kind":"campaign","campaign":{"Scenario":"suburban-35","CheckpointEvery":-1,"Propagation":true}}`,
 	} {
 		if _, err := DecodeSpec([]byte(bad)); err == nil {
 			t.Errorf("DecodeSpec(%q) accepted garbage", bad)

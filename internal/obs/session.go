@@ -123,9 +123,9 @@ func WriteSummary(w io.Writer, snap map[string]int64, wall time.Duration) {
 			total, 100*float64(fused)/float64(total),
 			100*float64(scalar)/float64(total), 100*float64(hooked)/float64(total))
 	}
-	batchedRuns, forked, cold := snap["campaign.runs_batched"], snap["campaign.runs_forked"], snap["campaign.runs_cold"]
-	if batchedRuns+forked+cold > 0 {
-		fmt.Fprintf(w, "campaign: %d batched runs, %d forked runs, %d cold runs\n", batchedRuns, forked, cold)
+	batchedRuns, cold := snap["campaign.runs_batched"], snap["campaign.runs_cold"]
+	if batchedRuns+cold > 0 {
+		fmt.Fprintf(w, "campaign: %d batched runs, %d cold runs\n", batchedRuns, cold)
 	}
 	if groups := snap["sim.lane_groups"]; groups > 0 {
 		lanes, clones := snap["sim.lane_runs"], snap["sim.lane_clones"]

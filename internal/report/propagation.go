@@ -29,7 +29,7 @@ func propagationSpecs(o Options, surface string) []lab.CampaignSpec {
 		specs = append(specs, lab.CampaignSpec{
 			Scenario: sc.Name, Mode: sim.RoundRobin, Target: vm.GPU, Model: fi.Transient,
 			Sizes: o.Sizes, Seed: base + uint64(vm.GPU)*31 + uint64(fi.Transient)*57, Golden: golden,
-			DisableSplice: o.NoSplice, LaneWidth: o.LaneWidth, Surface: surface,
+			Surface:     surface,
 			Propagation: true,
 		})
 	}

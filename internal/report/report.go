@@ -40,16 +40,6 @@ type Options struct {
 	// selects a fresh in-memory lab; supply one (possibly disk-backed,
 	// see lab.SetDisk) to share artifacts across studies or invocations.
 	Lab *lab.Lab
-	// NoSplice disables reconvergence splicing in every campaign of the
-	// study. Reports are byte-identical either way (the splice-equivalence
-	// invariant); this is the A/B switch the CI smoke test uses to prove
-	// it end to end.
-	NoSplice bool
-	// LaneWidth tunes batched lane execution of the study's transient
-	// campaigns: 0 selects the default lane width, negative runs every
-	// injection solo. Reports are byte-identical either way (the
-	// lane-equivalence invariant); the CI batch smoke test A/Bs it.
-	LaneWidth int
 	// Surface selects the fault surface of every campaign in the study
 	// (see fi.SurfaceNames). The empty string selects the legacy
 	// instruction surface, keeping every artifact key and report byte
@@ -129,7 +119,7 @@ func buildSpecs(o Options) studySpecs {
 				sp.rr = append(sp.rr, lab.CampaignSpec{
 					Scenario: sc.Name, Mode: sim.RoundRobin, Target: target, Model: model,
 					Sizes: o.Sizes, Seed: base + uint64(target)*31 + uint64(model)*57, Golden: goldenRR,
-					DisableSplice: o.NoSplice, LaneWidth: o.LaneWidth, Surface: o.Surface,
+					Surface:     o.Surface,
 					Propagation: o.Propagation && model == fi.Transient,
 				})
 			}
@@ -142,13 +132,13 @@ func buildSpecs(o Options) studySpecs {
 			sp.fd = append(sp.fd, lab.CampaignSpec{
 				Scenario: sc.Name, Mode: sim.Duplicate, Target: vm.GPU, Model: model,
 				Sizes: o.Sizes, Seed: base + 4000 + uint64(model), Golden: goldenFD,
-				DisableSplice: o.NoSplice, LaneWidth: o.LaneWidth, Surface: o.Surface,
+				Surface:     o.Surface,
 				Propagation: o.Propagation && model == fi.Transient,
 			})
 			sp.single = append(sp.single, lab.CampaignSpec{
 				Scenario: sc.Name, Mode: sim.Single, Target: vm.GPU, Model: model,
 				Sizes: o.Sizes, Seed: base + 5000 + uint64(model), Golden: goldenSG,
-				DisableSplice: o.NoSplice, LaneWidth: o.LaneWidth, Surface: o.Surface,
+				Surface:     o.Surface,
 				Propagation: o.Propagation && model == fi.Transient,
 			})
 		}

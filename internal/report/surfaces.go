@@ -32,7 +32,7 @@ func surfaceSpecs(o Options, surface string) []lab.CampaignSpec {
 			specs = append(specs, lab.CampaignSpec{
 				Scenario: sc.Name, Mode: sim.RoundRobin, Target: vm.GPU, Model: model,
 				Sizes: o.Sizes, Seed: base + uint64(vm.GPU)*31 + uint64(model)*57, Golden: golden,
-				DisableSplice: o.NoSplice, LaneWidth: o.LaneWidth, Surface: surface,
+				Surface:     surface,
 				Propagation: o.Propagation && model == fi.Transient,
 			})
 		}

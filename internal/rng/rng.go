@@ -84,7 +84,7 @@ func (r *Rand) Float64() float64 {
 
 // Range returns a uniform float64 in [lo, hi).
 func (r *Rand) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Norm returns a standard normal variate (Box–Muller, one value per call

@@ -225,7 +225,7 @@ func mergePath(env *Env, from *physics.LaneFollower, targetLane *world.Lane, mer
 		f := float64(i) / steps
 		// Smoothstep blend of lateral position into the target lane.
 		blend := f * f * (3 - 2*f)
-		target := targetLane.Center.At(st + mergeLen*f)
+		target := targetLane.Center.At(st + float64(mergeLen*f))
 		src := start.Add(target.Sub(targetLane.Center.At(st)))
 		pts = append(pts, src.Lerp(target, blend))
 	}

@@ -18,7 +18,7 @@ import (
 // bound, since the machine's writeback counter is bounded by its
 // architectural counter. For step-space plans the plan's Start() step
 // is the bound directly; step-space plans without a decidable start
-// (Start() < 0) are rejected and must run solo.
+// (Start() < 0) have no shareable prefix and are rejected.
 //
 // Execution strategy, with the fault-free prefix shared across lanes:
 //
@@ -40,10 +40,9 @@ import (
 // results[i].Activations matches. Like Config.Golden, lane execution is
 // pure strategy and must never leak into artifact cache keys.
 //
-// cp, when non-nil, seeds the pack (it must precede every detach step);
-// nil starts the pack cold. All lanes must share one run identity and
-// one Golden stream.
-func RunLanesFrom(cp *Checkpoint, cfgs []Config, detach []int) ([]*Result, error) {
+// All lanes must share one run identity and one Golden stream; the pack
+// starts at step 0 and jumps forward through the stream's checkpoints.
+func RunLanesFrom(cfgs []Config, detach []int) ([]*Result, error) {
 	if len(cfgs) == 0 || len(cfgs) != len(detach) {
 		return nil, fmt.Errorf("sim: RunLanesFrom: %d configs, %d detach steps", len(cfgs), len(detach))
 	}
@@ -83,13 +82,7 @@ func RunLanesFrom(cp *Checkpoint, cfgs []Config, detach []int) ([]*Result, error
 			return nil, fmt.Errorf("sim: RunLanesFrom: lane %d never activates but has no golden trace to clone", i)
 		case detach[i] >= int(c.Scenario.Duration*Hz):
 			return nil, fmt.Errorf("sim: RunLanesFrom: lane %d detaches at step %d past the scenario end", i, detach[i])
-		case cp != nil && detach[i] >= 0 && detach[i] < cp.Step:
-			return nil, fmt.Errorf("sim: RunLanesFrom: lane %d detaches at step %d before checkpoint step %d", i, detach[i], cp.Step)
 		}
-	}
-	if cp != nil && (base.Scenario.Name != cp.Scenario || base.Mode != cp.Mode ||
-		base.Seed != cp.Seed || base.Overlap != cp.Overlap || base.SensorNoiseStd != cp.SensorNoiseStd) {
-		return nil, fmt.Errorf("sim: RunLanesFrom: checkpoint identity mismatch (checkpoint %q)", cp.Scenario)
 	}
 
 	in := instruments()
@@ -126,12 +119,6 @@ func RunLanesFrom(cp *Checkpoint, cfgs []Config, detach []int) ([]*Result, error
 	packCfg.DisableSplice = false
 	pack := newRunner(packCfg)
 	pos := 0
-	if cp != nil {
-		if err := pack.restore(cp); err != nil {
-			return nil, err
-		}
-		pos = cp.Step
-	}
 	stream := base.Golden
 
 	for gi := 0; gi < len(order); {

@@ -103,7 +103,7 @@ func TestLaneEquivalenceMatrix(t *testing.T) {
 				coldAct[i] = cold.Activations
 			}
 
-			results, err := RunLanesFrom(nil, cfgs, detach)
+			results, err := RunLanesFrom(cfgs, detach)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,16 +130,16 @@ func TestLaneEquivalenceMatrix(t *testing.T) {
 				for i := range nsCfgs {
 					nsCfgs[i].DisableSplice = true
 				}
-				nsRes, err := RunLanesFrom(nil, nsCfgs, detach)
+				nsRes, err := RunLanesFrom(nsCfgs, detach)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i, lp := range lanes {
 					if got := hashTrace(t, nsRes[i].Trace); got != coldHash[i] {
-						t.Errorf("lane %s (no-splice): trace diverged from cold run", lp.name)
+						t.Errorf("lane %s (full-length): trace diverged from cold run", lp.name)
 					}
 					if i != 4 && nsRes[i].Exec.ExitReason == ExitSplice {
-						t.Errorf("lane %s (no-splice): spliced anyway", lp.name)
+						t.Errorf("lane %s (full-length): spliced anyway", lp.name)
 					}
 				}
 			}
@@ -171,7 +171,7 @@ func TestRunLanesFromValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := RunLanesFrom(nil, tc.cfgs, tc.detach)
+			_, err := RunLanesFrom(tc.cfgs, tc.detach)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v, want substring %q", err, tc.want)
 			}

@@ -220,7 +220,7 @@ func (r *runner) splice(step, start int) *Result {
 		// The tracer latched reconvergence at this very probe (same
 		// bit-equal + quiescent condition), and the grafted trace is
 		// byte-identical to the simulated one, so the record equals the
-		// no-splice run's.
+		// full-length run's.
 		Propagation: r.buildPropagation(),
 	}
 	r.publishRun(res)

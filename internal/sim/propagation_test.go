@@ -170,7 +170,7 @@ func TestPropagationLaneEquivalence(t *testing.T) {
 		detach[i] = plan.Start()
 		solo[i] = Run(cfgs[i])
 	}
-	lanes, err := RunLanesFrom(nil, cfgs, detach)
+	lanes, err := RunLanesFrom(cfgs, detach)
 	if err != nil {
 		t.Fatal(err)
 	}

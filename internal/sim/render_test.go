@@ -101,7 +101,7 @@ func TestSampledRenderMatchesFullRender(t *testing.T) {
 				lanes[i] = cfg
 				lanes[i].Golden = stream
 			}
-			results, err := RunLanesFrom(nil, lanes, detach)
+			results, err := RunLanesFrom(lanes, detach)
 			if err != nil {
 				t.Fatal(err)
 			}

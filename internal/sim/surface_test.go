@@ -80,7 +80,7 @@ func TestSurfaceEquivalenceMatrix(t *testing.T) {
 				}
 			}
 
-			results, err := RunLanesFrom(nil, cfgs, detach)
+			results, err := RunLanesFrom(cfgs, detach)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +145,7 @@ func TestSurfaceValidation(t *testing.T) {
 	}
 	for _, tc := range laneCases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := RunLanesFrom(nil, tc.cfgs, tc.detach)
+			_, err := RunLanesFrom(tc.cfgs, tc.detach)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v, want substring %q", err, tc.want)
 			}

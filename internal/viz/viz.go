@@ -23,9 +23,9 @@ func FrameASCII(f sensor.Frame) string {
 		for u := 0; u < sensor.FrameW; u++ {
 			r, g, bl := f.At(u, v)
 			fr, fg, fb := float64(r), float64(g), float64(bl)
-			blue := fb - (fr+fg)/2
-			red := fr - (fg+fb)/2
-			green := fg - (fr+fb)/2
+			blue := fb - float64((fr+fg)/2)
+			red := fr - float64((fg+fb)/2)
+			green := fg - float64((fr+fb)/2)
 			lum := (fr + fg + fb) / 3
 			switch {
 			case blue > 45 && lum < 140:
