@@ -1,21 +1,27 @@
-// Command ledgerstats turns validated JSONL telemetry ledgers into
-// propagation analytics: where injected faults first diverged
-// (subsystem × surface), how the campaign verdicts split per surface,
-// how long corruption took to surface after activation (latency
-// histogram), at which boundary masked faults died, and — for merged
-// grid ledgers — a per-node worker-utilization timeline reconstructed
-// from the span records. It reads one or more ledgers (a single
-// process's or a coordinator-merged fleet's), validates them like
-// ledgercheck, and prints the combined analysis; it exits nonzero on
-// the first invalid file.
+// Command ledgerstats reads the JSONL telemetry ledgers that the
+// -telemetry flag of the other drivers writes. It first validates every
+// file given; if any is invalid it names each bad file on stderr, exits
+// 1 and prints nothing else, so CI can gate on the ledger schema. For
+// each valid file it prints a roll-up: the writers' meta, records per
+// type, spans per phase and cache status, job queue and exec time,
+// records per node, the run spans' simulated steps and exit reasons,
+// spans and propagation records per surface, verdict counts and the
+// metrics record. It then prints the propagation analytics of all files
+// combined: where injected faults first diverged (subsystem × surface),
+// how the verdicts split per surface, how long corruption took to
+// surface after activation (latency histogram), at which boundary
+// masked faults died, and a per-node worker-utilization timeline
+// reconstructed from the job spans.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
+	"time"
 
 	"diverseav/internal/obs"
 )
@@ -30,25 +36,174 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var recs []obs.Record
-	for _, path := range flag.Args() {
-		f, err := os.Open(path)
+	os.Exit(run(os.Stdout, os.Stderr, flag.Args()))
+}
+
+// run validates every ledger in paths, then writes each one's roll-up
+// and the combined analytics to w. It returns the exit status: 1, with
+// each invalid file named on ew and nothing written to w, if any ledger
+// fails to read or validate.
+func run(w, ew io.Writer, paths []string) int {
+	ledgers := make([][]obs.Record, len(paths))
+	bad := false
+	for i, path := range paths {
+		recs, err := load(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ledgerstats: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(ew, "ledgerstats: %s: %v\n", path, err)
+			bad = true
 		}
-		r, err := obs.ReadLedger(f)
-		f.Close()
-		if err == nil {
-			err = obs.Validate(r)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ledgerstats: %s: %v\n", path, err)
-			os.Exit(1)
-		}
-		recs = append(recs, r...)
+		ledgers[i] = recs
 	}
-	os.Stdout.WriteString(render(recs))
+	if bad {
+		return 1
+	}
+	var b strings.Builder
+	var all []obs.Record
+	for i, recs := range ledgers {
+		rollup(&b, paths[i], recs)
+		all = append(all, recs...)
+	}
+	b.WriteString(render(all))
+	if _, err := io.WriteString(w, b.String()); err != nil {
+		fmt.Fprintf(ew, "ledgerstats: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+func load(path string) ([]obs.Record, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	recs, err := obs.ReadLedger(f)
+	if err != nil {
+		return nil, err
+	}
+	return recs, obs.Validate(recs)
+}
+
+// rollup writes one ledger's counts. Queue and exec time sum the job
+// spans only: a campaign span's time already contains its run spans'.
+func rollup(b *strings.Builder, path string, recs []obs.Record) {
+	types := map[string]int{}
+	phases := map[string]int{}
+	caches := map[string]int{}
+	nodes := map[string]int{}
+	exits := map[string]int{}
+	surfaces := map[string][2]int{} // surface → spans, propagation records
+	verdicts := map[string]int{}
+	var queueNs, execNs, simSteps int64
+	var metas []*obs.Meta
+	var metrics map[string]int64
+	for _, r := range recs {
+		types[r.Type]++
+		switch r.Type {
+		case obs.RecordMeta:
+			metas = append(metas, r.Meta)
+			if r.Meta.Node != "" {
+				nodes[r.Meta.Node]++
+			}
+		case obs.RecordSpan:
+			s := r.Span
+			phases[s.Phase]++
+			caches[s.Cache]++
+			nodes[nodeName(s.Node)]++
+			if s.Surface != "" {
+				n := surfaces[s.Surface]
+				n[0]++
+				surfaces[s.Surface] = n
+			}
+			if s.Phase != "run" {
+				queueNs += s.QueueNs
+				execNs += s.ExecNs
+				break
+			}
+			if s.ExitReason != "" {
+				exits[s.ExitReason]++
+			}
+			if ss := s.SimulatedSteps; len(ss) == 2 {
+				simSteps += int64(ss[1] - ss[0])
+			}
+		case obs.RecordPropagation:
+			n := surfaces[r.Prop.Surface]
+			n[1]++
+			surfaces[r.Prop.Surface] = n
+			nodes[nodeName(r.Prop.Node)]++
+			if v := r.Prop.Verdict; v != "" {
+				verdicts[v]++
+			}
+		case obs.RecordMetrics:
+			metrics = r.Metrics
+		}
+	}
+	fmt.Fprintf(b, "%s: %d records\n", path, len(recs))
+	for _, m := range metas {
+		fmt.Fprintf(b, "  meta: %s", m.Tool)
+		if m.Node != "" {
+			fmt.Fprintf(b, " on %s", m.Node)
+		}
+		fmt.Fprintf(b, ", schema %d, started %s (%s, GOMAXPROCS=%d)\n", m.Schema, m.Start, m.GoVersion, m.GOMAXPROCS)
+	}
+	writeCounts(b, "records", types)
+	if len(phases) > 0 {
+		writeCounts(b, "spans", phases)
+		writeCounts(b, "cache", caches)
+		fmt.Fprintf(b, "  jobs: queue %s, exec %s\n",
+			time.Duration(queueNs).Round(time.Millisecond), time.Duration(execNs).Round(time.Millisecond))
+	}
+	if len(nodes) > 0 {
+		writeCounts(b, "nodes", nodes)
+	}
+	if runs := phases["run"]; runs > 0 {
+		fmt.Fprintf(b, "  runs: %d spans, %d simulated steps", runs, simSteps)
+		for _, k := range sortedKeys(exits) {
+			fmt.Fprintf(b, ", %d %s", exits[k], k)
+		}
+		b.WriteByte('\n')
+	}
+	for _, k := range sortedKeys(surfaces) {
+		fmt.Fprintf(b, "  surface %s: %d spans, %d propagation\n", k, surfaces[k][0], surfaces[k][1])
+	}
+	if len(verdicts) > 0 {
+		writeCounts(b, "verdicts", verdicts)
+	}
+	if metrics != nil {
+		fmt.Fprintf(b, "  metrics: %d (sim.runs=%d, sim.steps=%d)\n",
+			len(metrics), metrics["sim.runs"], metrics["sim.steps"])
+	}
+}
+
+// writeCounts writes one roll-up line: "n key" per key of m, sorted by
+// key.
+func writeCounts(b *strings.Builder, label string, m map[string]int) {
+	fmt.Fprintf(b, "  %s:", label)
+	for i, k := range sortedKeys(m) {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(b, " %d %s", m[k], k)
+	}
+	b.WriteByte('\n')
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// nodeName names the process of a span or propagation record: its node
+// in a merged grid ledger, "(local)" when unstamped.
+func nodeName(node string) string {
+	if node == "" {
+		return "(local)"
+	}
+	return node
 }
 
 // latencyBuckets are the histogram edges, in steps after activation:
@@ -224,14 +379,14 @@ func renderLatencyHistogram(b *strings.Builder, props []*obs.Propagation, cols [
 // utilizationBuckets is the timeline resolution of the worker view.
 const utilizationBuckets = 20
 
-// renderUtilization reconstructs a per-node busy timeline from the
-// span records of a merged grid ledger: each span occupied its node
-// for ExecNs ending at its emission offset, so per time bucket the
-// busy fraction is the overlap of the node's spans with the bucket.
-// Spans without a node (a single-process ledger) aggregate under
-// "(local)". Job-phase spans subsume their per-run child spans on the
-// same node, so only leaf "run" spans — plus job spans that carry no
-// runs, like golden and detector jobs — are counted as busy time.
+// renderUtilization reconstructs a per-node busy timeline from the job
+// spans: each computed job occupied one DAG worker of its node for
+// ExecNs ending at its emission offset, so per time bucket the busy
+// fraction is the overlap of the node's jobs with the bucket. Spans
+// without a node (a single-process ledger) aggregate under "(local)".
+// Run spans are left out: their campaign span already covers them, and
+// a lane group emits its runs' spans together after the group ends,
+// each carrying the group's mean time.
 func renderUtilization(b *strings.Builder, spans []*obs.Span, elapsed []int64) {
 	if len(spans) == 0 {
 		return
@@ -245,30 +400,16 @@ func renderUtilization(b *strings.Builder, spans []*obs.Span, elapsed []int64) {
 	if end <= 0 {
 		return
 	}
-	// Nodes whose campaign jobs emitted per-run spans: count the runs
-	// and skip the enclosing campaign span to avoid double-counting.
-	hasRuns := map[string]bool{}
-	for _, s := range spans {
-		if s.Phase == "run" {
-			hasRuns[s.Node] = true
-		}
-	}
 	busy := map[string][]int64{} // node → per-bucket busy ns
 	bucket := end / utilizationBuckets
 	if bucket == 0 {
 		bucket = 1
 	}
 	for i, s := range spans {
-		if s.Cache != obs.CacheComputed && s.Phase != "run" {
-			continue // cache hits cost no execution
+		if s.Phase == "run" || s.Cache != obs.CacheComputed {
+			continue // a run nests in its campaign span; a cache hit cost no execution
 		}
-		if s.Phase == "campaign" && hasRuns[s.Node] {
-			continue
-		}
-		node := s.Node
-		if node == "" {
-			node = "(local)"
-		}
+		node := nodeName(s.Node)
 		bb := busy[node]
 		if bb == nil {
 			bb = make([]int64, utilizationBuckets)
@@ -280,7 +421,7 @@ func renderUtilization(b *strings.Builder, spans []*obs.Span, elapsed []int64) {
 		}
 		for k := 0; k < utilizationBuckets; k++ {
 			lo, hi := int64(k)*bucket, int64(k+1)*bucket
-			ov := min64(hi, to) - max64(lo, from)
+			ov := min(hi, to) - max(lo, from)
 			if ov > 0 {
 				bb[k] += ov
 			}
@@ -316,18 +457,4 @@ func renderUtilization(b *strings.Builder, spans []*obs.Span, elapsed []int64) {
 		fmt.Fprintf(&total, "busy %2.0f%%", 100*float64(busyNs)/float64(end))
 		fmt.Fprintf(b, "%-12s |%s| %s\n", n, bar.String(), total.String())
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,11 +1,97 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"diverseav/internal/obs"
 )
+
+// writeLedger writes a small campaign ledger through obs.NewLedger: a
+// golden disk hit, a campaign span of 10 ms exec with two 4 ms run spans
+// inside it on the sensor surface (one spliced), one propagation record
+// and a metrics snapshot. badSpan adds a span without a key, which
+// Validate rejects; cut drops that many trailing bytes, as a killed
+// writer leaves the file.
+func writeLedger(t *testing.T, badSpan bool, cut int) string {
+	t.Helper()
+	var buf bytes.Buffer
+	led := obs.NewLedger(&buf)
+	led.EmitMeta(obs.NewMeta("ledgerstats-test"))
+	led.EmitSpan(obs.Span{Key: "golden-a", Phase: "golden", Cache: obs.CacheDisk, QueueNs: 1e6})
+	led.EmitSpan(obs.Span{Key: "campaign-a", Phase: "campaign", Cache: obs.CacheComputed, ExecNs: 10e6, Deps: []string{"golden-a"}})
+	for i, exit := range []string{obs.ExitSplice, ""} {
+		led.EmitSpan(obs.Span{Key: fmt.Sprintf("campaign-a/run-%03d", i), Phase: "run", Cache: obs.CacheComputed,
+			ExecNs: 4e6, SimulatedSteps: []int{10, 40}, ExitReason: exit, Surface: obs.SurfaceSensor})
+	}
+	led.EmitProp(obs.Propagation{Key: "campaign-a/run-000", Surface: obs.SurfaceSensor, Subsystem: obs.SubsystemAgent0,
+		Boundary: obs.BoundaryState, Verdict: obs.VerdictMasked, Step: 20, ActivationStep: 12, LatencySteps: 8})
+	if badSpan {
+		led.EmitSpan(obs.Span{Phase: "run", Cache: obs.CacheComputed})
+	}
+	led.EmitMetrics(map[string]int64{"sim.runs": 3, "sim.steps": 120})
+	if err := led.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	if err := os.WriteFile(path, buf.Bytes()[:buf.Len()-cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestCheckValid: a well-formed ledger exits 0, and its roll-up counts
+// what was written. The job exec total leaves out the run spans nested
+// in the campaign span.
+func TestCheckValid(t *testing.T) {
+	path := writeLedger(t, false, 0)
+	var out, errOut bytes.Buffer
+	if code := run(&out, &errOut, []string{path}); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	got := strings.Join(strings.Fields(out.String()), " ")
+	for _, want := range []string{
+		path + ": 7 records",
+		fmt.Sprintf("meta: ledgerstats-test, schema %d,", obs.SchemaVersion),
+		"records: 1 meta, 1 metrics, 1 propagation, 4 span",
+		"spans: 1 campaign, 1 golden, 2 run",
+		"cache: 3 computed, 1 disk",
+		"jobs: queue 1ms, exec 10ms",
+		"nodes: 5 (local)",
+		"runs: 2 spans, 60 simulated steps, 1 splice",
+		"surface " + obs.SurfaceSensor + ": 2 spans, 1 propagation",
+		"verdicts: 1 " + obs.VerdictMasked,
+		"metrics: 2 (sim.runs=3, sim.steps=120)",
+		"ledgerstats — 7 records, 4 spans, 1 propagation records",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestCheckRejects: a schema-invalid and a truncated ledger each make
+// the run exit 1, named on stderr, before any roll-up or analytics is
+// printed, even for a valid ledger given alongside them.
+func TestCheckRejects(t *testing.T) {
+	invalid, truncated := writeLedger(t, true, 0), writeLedger(t, false, 10)
+	var out, errOut bytes.Buffer
+	if code := run(&out, &errOut, []string{writeLedger(t, false, 0), invalid, truncated}); code != 1 {
+		t.Errorf("exit %d, want 1", code)
+	}
+	if out.Len() != 0 {
+		t.Errorf("printed %q for rejected ledgers", out.String())
+	}
+	for _, want := range []string{invalid + ": ", "span without key", truncated + ": ", "ledger line 7"} {
+		if !strings.Contains(errOut.String(), want) {
+			t.Errorf("stderr missing %q:\n%s", want, errOut.String())
+		}
+	}
+}
 
 func prop(surface, subsystem, verdict, boundary string, latency int) obs.Record {
 	p := &obs.Propagation{
@@ -87,9 +173,9 @@ func TestRenderNoProps(t *testing.T) {
 	}
 }
 
-// TestRenderUtilization: the worker timeline attributes each span's
+// TestRenderUtilization: the worker timeline attributes each job span's
 // ExecNs to its node, aggregates unstamped spans under (local), and
-// skips cache hits.
+// skips cache hits and run spans.
 func TestRenderUtilization(t *testing.T) {
 	recs := []obs.Record{
 		{Type: obs.RecordMeta, Meta: &obs.Meta{Tool: "test", Schema: obs.SchemaVersion}},
@@ -101,6 +187,10 @@ func TestRenderUtilization(t *testing.T) {
 		span("", "golden", obs.CacheComputed, 1000, 1000),
 		// a disk hit costs no execution and must not count.
 		span("worker-0", "campaign", obs.CacheDisk, 0, 900),
+		// runs inside worker-1's campaign, emitted with its end stamp:
+		// already covered by the campaign span, they must not count.
+		span("worker-1", "run", obs.CacheComputed, 250, 1000),
+		span("worker-1", "run", obs.CacheComputed, 250, 1000),
 	}
 	if err := obs.Validate(recs); err != nil {
 		t.Fatalf("synthetic records do not validate: %v", err)

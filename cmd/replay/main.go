@@ -1,12 +1,14 @@
 // Command replay loads a recorded run trace (JSON, from `avsim -json`)
 // and optionally a trained detector (from `traindet`), prints the run
-// summary, and re-runs error detection offline — the workflow for
-// analyzing a fleet-collected trace after the fact.
+// summary, and re-runs error detection offline under the comparison
+// mode the detector was trained for — the workflow for analyzing a
+// fleet-collected trace after the fact.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"diverseav/internal/core"
@@ -18,56 +20,67 @@ func main() {
 	var (
 		traceFile = flag.String("trace", "", "trace JSON file (required)")
 		detFile   = flag.String("detector", "", "trained detector JSON (optional)")
-		compare   = flag.String("compare", "alternating", "comparison mode: alternating, duplicate, temporal")
 	)
 	flag.Parse()
 	if *traceFile == "" {
 		fmt.Fprintln(os.Stderr, "replay: -trace is required")
 		os.Exit(2)
 	}
-	f, err := os.Open(*traceFile)
-	if err != nil {
+	if err := replay(os.Stdout, *traceFile, *detFile); err != nil {
 		fmt.Fprintln(os.Stderr, "replay:", err)
 		os.Exit(1)
+	}
+}
+
+// replay writes the summary of the trace at tracePath to w and, given a
+// detector file, the detector's verdict on the trace. It writes nothing
+// if either file fails to load.
+func replay(w io.Writer, tracePath, detPath string) error {
+	f, err := os.Open(tracePath)
+	if err != nil {
+		return err
 	}
 	defer f.Close()
 	tr, err := trace.Decode(f)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "replay:", err)
-		os.Exit(1)
+		return fmt.Errorf("%s: %w", tracePath, err)
 	}
-	fmt.Print(viz.TraceSummary(tr))
-
-	if *detFile == "" {
-		return
-	}
-	df, err := os.Open(*detFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "replay:", err)
-		os.Exit(1)
-	}
-	defer df.Close()
-	det, err := core.Load(df)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "replay:", err)
-		os.Exit(1)
-	}
+	var det *core.Detector
 	var mode core.CompareMode
-	switch *compare {
-	case "alternating":
-		mode = core.CompareAlternating
-	case "duplicate":
-		mode = core.CompareDuplicate
-	case "temporal":
-		mode = core.CompareTemporal
-	default:
-		fmt.Fprintln(os.Stderr, "replay: unknown comparison", *compare)
-		os.Exit(2)
+	if detPath != "" {
+		df, err := os.Open(detPath)
+		if err != nil {
+			return err
+		}
+		defer df.Close()
+		if det, err = core.Load(df); err != nil {
+			return fmt.Errorf("%s: %w", detPath, err)
+		}
+		if mode, err = compareMode(det.Compare); err != nil {
+			return fmt.Errorf("%s: %w", detPath, err)
+		}
+	}
+
+	fmt.Fprint(w, viz.TraceSummary(tr))
+	if det == nil {
+		return nil
 	}
 	if alarm, ok := det.Detect(tr, mode); ok {
-		fmt.Printf("ALARM at t=%.2fs on %s (value %.3f > limit %.3f)\n",
+		fmt.Fprintf(w, "ALARM at t=%.2fs on %s (value %.3f > limit %.3f)\n",
 			float64(alarm.Step)/tr.Hz, alarm.Channel, alarm.Value, alarm.Limit)
 	} else {
-		fmt.Println("no alarm")
+		fmt.Fprintln(w, "no alarm")
 	}
+	return nil
+}
+
+// compareMode returns the comparison mode a detector's Compare field
+// names.
+func compareMode(name string) (core.CompareMode, error) {
+	for _, m := range []core.CompareMode{core.CompareAlternating, core.CompareDuplicate, core.CompareTemporal} {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("detector trained for unknown comparison mode %q", name)
 }

@@ -125,7 +125,7 @@ func NewCoordinator(store lab.Store, cfg Config) *Coordinator {
 // SetLedger attaches the merged-telemetry ledger: worker-posted JSONL
 // batches are stamped with the worker's node identity and spliced in
 // verbatim (obs.Ledger.EmitRaw), so one file holds the whole fleet's
-// spans and ledgercheck validates it like any single-process ledger.
+// spans and ledgerstats reads it like any single-process ledger.
 func (c *Coordinator) SetLedger(led *obs.Ledger) {
 	c.mu.Lock()
 	c.ledger = led
